@@ -106,9 +106,6 @@ class ConvexPlaneBody:
         """<p(theta), nu(theta)>; equals h to spectral accuracy (round trip)."""
         return np.einsum("ij,ij->i", self.points(), self.normals())
 
-    def translate_invariant_radius(self) -> np.ndarray:
-        return self.curvature_radius
-
 
 def build_plane_body(
     support: TrigPolynomial | tuple | list,

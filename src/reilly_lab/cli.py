@@ -16,14 +16,13 @@ from .bodies import ConvexPlaneBody, SphereCap
 from .config import SuiteConfig, load_config, validate_flow, validate_sweep
 from .dimension import theta_from_config_n
 from .errors import ConfigError, ReillyLabError
-from .flows import (concavity_check, hausdorff_points, latitude_circle,
-                    minkowski_sum_support, parallel_normal_flow,
+from .flows import (concavity_check, latitude_circle, parallel_normal_flow,
                     weingarten_wave)
 from .inequalities import check_lichnerowicz, sharpness_ratio
 from .models import build_gaussian_interval, build_model_density
-from .presets import body_from_spec, disk_body, model_density_params
+from .presets import body_from_spec, model_density_params
 from .reporting import emit_report, flow_csv, overall_pass, sweep_csv
-from .suites import run_suite_checks
+from .suites import _pnf_minkowski_oracle, run_suite_checks
 from .trig import TrigPolynomial
 
 EXIT_OK = 0
@@ -147,14 +146,7 @@ def _sweep_rows(spec: dict, cfg: SuiteConfig):
             dt = float(raw)
             m = max(16, int(round(spec["m"] * (1e-3 / dt))))
             m += m % 2
-            disk = disk_body(m=m)
-            phi = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
-            from .bodies import build_plane_body
-            speed_body = build_plane_body(phi, m=m, label="speed-body")
-            res = parallel_normal_flow(disk, phi, spec["t_end"], dt,
-                                       snapshot_every=10**9)
-            target = minkowski_sum_support(disk, speed_body, spec["t_end"])
-            dist = hausdorff_points(res.states[-1].points, target.points())
+            dist, _ = _pnf_minkowski_oracle(m, spec["t_end"], dt)
             from .checks import from_identity
             rows.append([from_identity("flow-vs-oracle", residual=dist,
                                        tolerance=1e-4, lhs=dist, rhs=0.0,

@@ -19,6 +19,7 @@ N values are spelled as plain numbers with `0` meaning theta = -inf and
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -107,6 +108,13 @@ def _to_float(value: str, key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
+def _to_step(value: str, key: str) -> float:
+    step = _to_float(value, key)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    return step
+
+
 def load_config(path: Optional[str] = None,
                 overrides: Optional[dict] = None) -> SuiteConfig:
     """Assemble the effective config: file, then CLI overrides, then env.
@@ -187,6 +195,9 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
     raw_values = [v.strip() for v in sweep["values"].split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep values must be a non-empty comma list")
+    if check == "flow-oracle":
+        for raw in raw_values:
+            _to_step(raw, "dt")
     out = {
         "check": check,
         "param": param,
@@ -213,13 +224,16 @@ def validate_flow(cfg: SuiteConfig) -> dict:
         raise ConfigError(f"bad phi_coeffs {coeffs_text!r}") from exc
     if not coeffs:
         raise ConfigError("phi_coeffs must be a non-empty comma list")
+    snapshot_every = _to_int(flow.get("snapshot_every", "10"),
+                             "snapshot_every")
+    if snapshot_every < 1:
+        raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
     return {
         "kind": kind,
         "body": flow.get("body", "disk"),
         "phi_coeffs": coeffs,
         "t_end": _to_float(flow.get("t_end", "0.5"), "t_end"),
-        "dt": _to_float(flow.get("dt", "1e-3"), "dt"),
+        "dt": _to_step(flow.get("dt", "1e-3"), "dt"),
         "m": _to_int(flow.get("m", "256"), "m"),
-        "snapshot_every": _to_int(flow.get("snapshot_every", "10"),
-                                  "snapshot_every"),
+        "snapshot_every": snapshot_every,
     }

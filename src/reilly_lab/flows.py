@@ -4,10 +4,13 @@ The Parallel Normal Flow moves each Lagrangian marker with velocity
 phi * nu + II^{-1} grad_Sigma(phi), where the speed phi is fixed per
 trajectory for all time.  Normals then stay parallel along trajectories,
 and in the plane the flow reproduces support-function Minkowski
-summation, which provides an independent oracle.  Marker geometry is
-recomputed from the polyline every stage with 4th-order periodic
-differences; time stepping is the classical 4-stage explicit scheme with
-a fixed step (determinism over adaptivity).
+summation, which provides an independent oracle.  Every flow, the
+parallel normal flow in the plane and on the sphere and the Weingarten
+wave, runs through one integrator: the classical 4-stage explicit scheme
+with a fixed step (determinism over adaptivity).  Marker geometry comes
+from the polyline with 4th-order periodic differences and is evaluated
+once per state, so an accepted step's geometry is the next step's first
+stage.
 
 Flow breakdown (curvature floor, self-intersection, loss of speed
 positivity) is a reported outcome: the run returns its partial history
@@ -193,7 +196,7 @@ def quermassintegrals(body, theta: InverseDimension):
 
 
 # ---------------------------------------------------------------------------
-# plane parallel normal flow
+# plane marker curves
 
 
 def _plane_geometry(points: np.ndarray, hy: float):
@@ -204,13 +207,6 @@ def _plane_geometry(points: np.ndarray, hy: float):
     nu = np.stack([tau[:, 1], -tau[:, 0]], axis=1)   # outward for CCW curves
     kappa = (py[:, 0] * pyy[:, 1] - py[:, 1] * pyy[:, 0]) / speed**3
     return speed, tau, nu, kappa
-
-
-def _plane_velocity(points: np.ndarray, phi: np.ndarray, hy: float):
-    speed, tau, nu, kappa = _plane_geometry(points, hy)
-    phi_s = periodic_diff1(phi, hy) / speed
-    vel = phi[:, None] * nu + (phi_s / kappa)[:, None] * tau
-    return vel, nu, kappa
 
 
 def polyline_area(points: np.ndarray, hy: float) -> float:
@@ -261,91 +257,6 @@ def _phi_samples(body_angles: np.ndarray, phi) -> np.ndarray:
     return arr
 
 
-def parallel_normal_flow(initial, phi, t_end: float, dt: float,
-                         snapshot_every: int = 10,
-                         intersect_every: int = 25,
-                         kappa_floor: float = KAPPA_FLOOR,
-                         theta: Optional[InverseDimension] = None) -> FlowResult:
-    """Run the parallel normal flow from a plane body or a sphere curve.
-
-    phi is fixed per trajectory for all time (the flow's defining
-    property).  Returns states (subsampled snapshots plus the endpoint),
-    a ConcavitySeries of enclosed measure at every accepted step, the
-    accumulated normal drift, and the death record if the curvature floor
-    or a self-intersection ended the run early.
-    """
-    if theta is None:
-        theta = InverseDimension(0.5, n_ambient=2)
-    if isinstance(initial, ConvexPlaneBody):
-        return _pnf_plane(initial, phi, t_end, dt, snapshot_every,
-                          intersect_every, kappa_floor, theta)
-    if isinstance(initial, SphereCurve):
-        return _pnf_sphere(initial, phi, t_end, dt, snapshot_every,
-                           kappa_floor, theta)
-    raise TypeError(type(initial).__name__)
-
-
-def _pnf_plane(body, phi, t_end, dt, snapshot_every, intersect_every,
-               kappa_floor, theta) -> FlowResult:
-    m = body.m
-    hy = body.d_angle
-    points = body.points()
-    phi_vals = _phi_samples(body.angles, phi)
-    steps = int(round(t_end / dt))
-    speed0, tau0, nu0, kappa0 = _plane_geometry(points, hy)
-    if np.min(kappa0) <= kappa_floor:
-        raise ConvexityViolation("initial curve is not strictly convex")
-    states = [FlowState(0.0, points.copy(), phi_vals.copy(), nu0, kappa0)]
-    times = [0.0]
-    masses = [polyline_area(points, hy)]
-    nu_prev = nu0
-    drift = 0.0
-    max_step_drift = 0.0
-    alive = True
-    reason = None
-    for k in range(steps):
-        k1, _, _ = _plane_velocity(points, phi_vals, hy)
-        k2, _, _ = _plane_velocity(points + 0.5 * dt * k1, phi_vals, hy)
-        k3, _, _ = _plane_velocity(points + 0.5 * dt * k2, phi_vals, hy)
-        k4, _, _ = _plane_velocity(points + dt * k3, phi_vals, hy)
-        candidate = points + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _, _, nu, kappa = _plane_geometry(candidate, hy)
-        if not np.all(np.isfinite(candidate)) or np.min(kappa) <= kappa_floor:
-            alive, reason = False, "curvature-floor"
-            break
-        if intersect_every > 0 and (k + 1) % intersect_every == 0 \
-                and self_intersects(candidate):
-            alive, reason = False, "self-intersection"
-            break
-        points = candidate
-        step_drift = float(np.max(np.hypot(*(nu - nu_prev).T)))
-        drift += step_drift
-        max_step_drift = max(max_step_drift, step_drift)
-        nu_prev = nu
-        t_now = (k + 1) * dt
-        times.append(t_now)
-        masses.append(polyline_area(points, hy))
-        if (k + 1) % snapshot_every == 0 or k == steps - 1:
-            states.append(FlowState(t_now, points.copy(), phi_vals.copy(),
-                                    nu.copy(), kappa.copy(), alive=True))
-    if not alive:
-        _, _, nu_now, kappa_now = _plane_geometry(points, hy)
-        states.append(FlowState(times[-1], points.copy(), phi_vals.copy(),
-                                nu_now, kappa_now, alive=False))
-    series = _series_or_none(times, masses, theta)
-    return FlowResult(states=states, series=series, alive=alive,
-                      death_reason=reason, normal_drift=drift,
-                      diagnostics={"m": m, "dt": dt,
-                                   "steps_run": len(times) - 1,
-                                   "max_step_drift": max_step_drift})
-
-
-def _series_or_none(times, masses, theta):
-    if len(times) < 2:
-        return None          # flow died before producing a usable series
-    return ConcavitySeries(np.array(times), np.array(masses), theta)
-
-
 # ---------------------------------------------------------------------------
 # sphere curves
 
@@ -393,15 +304,7 @@ def _sphere_geometry(x: np.ndarray, hy: float):
     speed_y = periodic_diff1(speed, hy)
     xss = (xyy - speed_y[:, None] * tau) / speed[:, None] ** 2
     kappa_g = -np.einsum("ij,ij->i", xss, nu)
-    return speed, tau, nu, kappa_g
-
-
-def _sphere_velocity(x: np.ndarray, phi: np.ndarray, hy: float):
-    speed, tau, nu, kappa = _sphere_geometry(x, hy)
-    phi_s = periodic_diff1(phi, hy) / speed
-    vel = phi[:, None] * nu + (phi_s / kappa)[:, None] * tau
-    vel -= np.einsum("ij,ij->i", vel, x)[:, None] * x   # tangent projection
-    return vel, nu, kappa
+    return speed, tau, nu, kappa_g, xy
 
 
 def _parallel_transport(w: np.ndarray, x_from: np.ndarray,
@@ -411,6 +314,16 @@ def _parallel_transport(w: np.ndarray, x_from: np.ndarray,
     return w - (wdot / (1.0 + dot))[:, None] * (x_from + x_to)
 
 
+def _sphere_areas(x: np.ndarray, g, hy: float):
+    speed, _, _, kappa, xy = g
+    gb = 2.0 * math.pi - float(np.sum(kappa * speed)) * hy
+    # d(phi_azimuthal)/dy from cartesian derivatives avoids branch cuts
+    denom = x[:, 0] ** 2 + x[:, 1] ** 2
+    dphi = (x[:, 0] * xy[:, 1] - x[:, 1] * xy[:, 0]) / denom
+    band = float(np.sum((1.0 - x[:, 2]) * dphi)) * hy
+    return gb, band
+
+
 def sphere_enclosed_area(x: np.ndarray, hy: float):
     """(Gauss-Bonnet, azimuthal-band) estimates of the enclosed area.
 
@@ -418,73 +331,148 @@ def sphere_enclosed_area(x: np.ndarray, hy: float):
     contour integral of (1 - z) dphi_azimuthal, valid for curves winding
     once around the pole of the enclosed region.
     """
-    speed, tau, nu, kappa = _sphere_geometry(x, hy)
-    gb = 2.0 * math.pi - float(np.sum(kappa * speed)) * hy
-    # d(phi_azimuthal)/dy from cartesian derivatives avoids branch cuts
-    xy = periodic_diff1(x, hy)
-    denom = x[:, 0] ** 2 + x[:, 1] ** 2
-    dphi = (x[:, 0] * xy[:, 1] - x[:, 1] * xy[:, 0]) / denom
-    band = float(np.sum((1.0 - x[:, 2]) * dphi)) * hy
-    return gb, band
-
-
-def _pnf_sphere(curve: SphereCurve, phi, t_end, dt, snapshot_every,
-                kappa_floor, theta) -> FlowResult:
-    m = curve.m
-    hy = 2.0 * math.pi / m
-    x = curve.points.copy()
-    angles = np.arange(m) * hy
-    phi_vals = _phi_samples(angles, phi)
-    steps = int(round(t_end / dt))
-    _, _, nu0, kappa0 = _sphere_geometry(x, hy)
-    if np.min(kappa0) <= kappa_floor:
-        raise ConvexityViolation("initial sphere curve is not strictly convex")
-    states = [FlowState(0.0, x.copy(), phi_vals.copy(), nu0, kappa0)]
-    times = [0.0]
-    masses = [sphere_enclosed_area(x, hy)[0]]
-    x_prev, nu_prev = x.copy(), nu0
-    drift = 0.0
-    max_step_drift = 0.0
-    alive, reason = True, None
-    band_gap = 0.0
-    for k in range(steps):
-        k1, _, _ = _sphere_velocity(x, phi_vals, hy)
-        k2, _, _ = _sphere_velocity(_renorm(x + 0.5 * dt * k1), phi_vals, hy)
-        k3, _, _ = _sphere_velocity(_renorm(x + 0.5 * dt * k2), phi_vals, hy)
-        k4, _, _ = _sphere_velocity(_renorm(x + dt * k3), phi_vals, hy)
-        candidate = _renorm(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        _, _, nu, kappa = _sphere_geometry(candidate, hy)
-        if not np.all(np.isfinite(candidate)) or np.min(kappa) <= kappa_floor:
-            alive, reason = False, "curvature-floor"
-            break
-        x = candidate
-        transported = _parallel_transport(nu_prev, x_prev, x)
-        step_drift = float(np.max(np.linalg.norm(nu - transported, axis=1)))
-        drift += step_drift
-        max_step_drift = max(max_step_drift, step_drift)
-        x_prev, nu_prev = x.copy(), nu
-        t_now = (k + 1) * dt
-        gb, band = sphere_enclosed_area(x, hy)
-        band_gap = max(band_gap, abs(gb - band))
-        times.append(t_now)
-        masses.append(gb)
-        if (k + 1) % snapshot_every == 0 or k == steps - 1:
-            states.append(FlowState(t_now, x.copy(), phi_vals.copy(),
-                                    nu.copy(), kappa.copy()))
-    if not alive:
-        _, _, nu_now, kappa_now = _sphere_geometry(x, hy)
-        states.append(FlowState(times[-1], x.copy(), phi_vals.copy(),
-                                nu_now, kappa_now, alive=False))
-    series = _series_or_none(times, masses, theta)
-    return FlowResult(states=states, series=series, alive=alive,
-                      death_reason=reason, normal_drift=drift,
-                      diagnostics={"m": m, "dt": dt,
-                                   "area_estimator_gap": band_gap,
-                                   "max_step_drift": max_step_drift})
+    return _sphere_areas(x, _sphere_geometry(x, hy), hy)
 
 
 def _renorm(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+# ---------------------------------------------------------------------------
+# the fixed-step integrator shared by every flow
+
+
+def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
+              snapshot_every, kappa_floor, theta, nonfinite,
+              project=lambda z: z, reject=None, watch=None):
+    """Integrate dy/dt = rhs(y, g) with classical fixed-step RK4.
+
+    g = geometry(y) starts with (speed, tau, nu, kappa) and is evaluated
+    once per state: a candidate's geometry decides its acceptance, then
+    serves as the next step's first stage.  view(y) gives a snapshot's
+    (points, phi), phi0 the initial speed, mass(y, g) the series measure.
+    project maps stages back onto the constraint manifold, reject(k, y)
+    may veto step k and watch(y_prev, g_prev, y, g) sees accepted steps.
+    Returns the FlowResult (diagnostics m, dt) and the last state.
+    """
+    def snapshot(t, alive=True):
+        points, phi = view(y)
+        return FlowState(t, points.copy(), phi.copy(), g[2].copy(),
+                         g[3].copy(), alive=alive)
+
+    steps = int(round(t_end / dt))
+    states = [FlowState(0.0, view(y)[0].copy(), phi0.copy(), g[2], g[3])]
+    times, masses = [0.0], [mass(y, g)]
+    alive, reason = True, None
+    for k in range(steps):
+        k1 = rhs(y, g)
+        stage = project(y + 0.5 * dt * k1)
+        k2 = rhs(stage, geometry(stage))
+        stage = project(y + 0.5 * dt * k2)
+        k3 = rhs(stage, geometry(stage))
+        stage = project(y + dt * k3)
+        k4 = rhs(stage, geometry(stage))
+        candidate = project(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        g_next = geometry(candidate)
+        if not np.all(np.isfinite(candidate)):
+            alive, reason = False, nonfinite
+        elif np.min(g_next[3]) <= kappa_floor:
+            alive, reason = False, "curvature-floor"
+        elif reject is not None and reject(k, candidate):
+            alive, reason = False, "self-intersection"
+        if not alive:
+            states.append(snapshot(times[-1], alive=False))
+            break
+        if watch is not None:
+            watch(y, g, candidate, g_next)
+        y, g = candidate, g_next
+        times.append((k + 1) * dt)
+        masses.append(mass(y, g))
+        if (k + 1) % snapshot_every == 0 or k == steps - 1:
+            states.append(snapshot(times[-1]))
+    series = (ConcavitySeries(np.array(times), np.array(masses), theta)
+              if len(times) > 1 else None)
+    return FlowResult(states=states, series=series, alive=alive,
+                      death_reason=reason,
+                      diagnostics={"m": y.shape[0], "dt": dt}), y
+
+
+# ---------------------------------------------------------------------------
+# parallel normal flow
+
+
+def parallel_normal_flow(initial, phi, t_end: float, dt: float,
+                         snapshot_every: int = 10,
+                         intersect_every: int = 25,
+                         kappa_floor: float = KAPPA_FLOOR,
+                         theta: Optional[InverseDimension] = None) -> FlowResult:
+    """Run the parallel normal flow from a plane body or a sphere curve.
+
+    phi is fixed per trajectory for all time (the flow's defining
+    property).  Returns states (subsampled snapshots plus the endpoint),
+    a ConcavitySeries of enclosed measure at every accepted step, the
+    accumulated normal drift, and the death record if the curvature floor
+    or a self-intersection ended the run early.
+    """
+    if theta is None:
+        theta = InverseDimension(0.5, n_ambient=2)
+    on_sphere = isinstance(initial, SphereCurve)
+    if isinstance(initial, ConvexPlaneBody):
+        hy = initial.d_angle
+        y = initial.points()
+        phi_vals = _phi_samples(initial.angles, phi)
+        geometry = lambda x: _plane_geometry(x, hy)
+        mass = lambda x, g: polyline_area(x, hy)
+        project = lambda x: x
+        reject = lambda k, x: (intersect_every > 0 and (k + 1)
+                               % intersect_every == 0 and self_intersects(x))
+        diagnostics = {"steps_run": 0, "max_step_drift": 0.0}
+    elif on_sphere:
+        hy = 2.0 * math.pi / initial.m
+        y = initial.points
+        phi_vals = _phi_samples(np.arange(initial.m) * hy, phi)
+        geometry = lambda x: _sphere_geometry(x, hy)
+        mass = lambda x, g: _sphere_areas(x, g, hy)[0]
+        project, reject = _renorm, None
+        diagnostics = {"area_estimator_gap": 0.0, "max_step_drift": 0.0}
+    else:
+        raise TypeError(type(initial).__name__)
+    g = geometry(y)
+    if np.min(g[3]) <= kappa_floor:
+        raise ConvexityViolation(f"initial {'sphere ' if on_sphere else ''}"
+                                 "curve is not strictly convex")
+    phi_y = periodic_diff1(phi_vals, hy)     # phi is fixed per trajectory
+    drift = 0.0
+
+    def rhs(x, g):
+        speed, tau, nu, kappa = g[:4]
+        vel = phi_vals[:, None] * nu + (phi_y / speed / kappa)[:, None] * tau
+        if on_sphere:        # tangent projection
+            vel -= np.einsum("ij,ij->i", vel, x)[:, None] * x
+        return vel
+
+    def watch(x_prev, g_prev, x, g):
+        nonlocal drift
+        if on_sphere:
+            gb, band = _sphere_areas(x, g, hy)
+            diagnostics["area_estimator_gap"] = max(
+                diagnostics["area_estimator_gap"], abs(gb - band))
+            moved = g[2] - _parallel_transport(g_prev[2], x_prev, x)
+            step_drift = float(np.max(np.linalg.norm(moved, axis=1)))
+        else:
+            diagnostics["steps_run"] += 1
+            step_drift = float(np.max(np.hypot(*(g[2] - g_prev[2]).T)))
+        drift += step_drift
+        diagnostics["max_step_drift"] = max(diagnostics["max_step_drift"],
+                                            step_drift)
+
+    result, _ = _rk4_flow(
+        y, g, geometry, rhs, lambda x: (x, phi_vals), mass, phi_vals, t_end,
+        dt, snapshot_every, kappa_floor, theta, "curvature-floor",
+        project=project, reject=reject, watch=watch)
+    result.normal_drift = drift
+    result.diagnostics.update(diagnostics)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -508,60 +496,26 @@ def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
         raise NotImplementedError("Weingarten wave assumes zero potential")
     if theta is None:
         theta = InverseDimension(0.5, n_ambient=2)
-    m = body.m
     hy = body.d_angle
-    points = body.points()
     phi_vals = _phi_samples(body.angles, phi0)
     if np.min(phi_vals) <= 0.0:
         raise ValueError("initial speed must be positive")
-    log_phi = np.log(phi_vals)
-    steps = int(round(t_end / dt))
-    times = [0.0]
-    masses = [polyline_area(points, hy)]
-    _, _, nu0, kappa0 = _plane_geometry(points, hy)
-    states = [FlowState(0.0, points.copy(), phi_vals.copy(), nu0, kappa0)]
-    alive, reason = True, None
+    y = np.column_stack([body.points(), np.log(phi_vals)])   # F, log phi
+    geometry = lambda z: _plane_geometry(z[:, :2], hy)
 
-    def rhs(pts, lph):
-        phi = np.exp(lph)
-        speed, tau, nu, kappa = _plane_geometry(pts, hy)
-        dpts = phi[:, None] * nu
-        phi_s = periodic_diff1(phi, hy) / speed
-        flux = phi_s / kappa
-        dlog = periodic_diff1(flux, hy) / speed
-        return dpts, dlog
+    def rhs(z, g):
+        speed, _, nu, kappa = g
+        phi = np.exp(z[:, 2])
+        flux = periodic_diff1(phi, hy) / speed / kappa
+        return np.column_stack([phi[:, None] * nu,
+                                periodic_diff1(flux, hy) / speed])
 
-    for k in range(steps):
-        a1, b1 = rhs(points, log_phi)
-        a2, b2 = rhs(points + 0.5 * dt * a1, log_phi + 0.5 * dt * b1)
-        a3, b3 = rhs(points + 0.5 * dt * a2, log_phi + 0.5 * dt * b2)
-        a4, b4 = rhs(points + dt * a3, log_phi + dt * b3)
-        cand_pts = points + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        cand_log = log_phi + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        _, _, nu, kappa = _plane_geometry(cand_pts, hy)
-        finite = np.all(np.isfinite(cand_pts)) and np.all(np.isfinite(cand_log))
-        if not finite:
-            alive, reason = False, "positivity-loss"
-            break
-        if np.min(kappa) <= kappa_floor:
-            alive, reason = False, "curvature-floor"
-            break
-        points, log_phi = cand_pts, cand_log
-        t_now = (k + 1) * dt
-        times.append(t_now)
-        masses.append(polyline_area(points, hy))
-        if (k + 1) % snapshot_every == 0 or k == steps - 1:
-            states.append(FlowState(t_now, points.copy(), np.exp(log_phi),
-                                    nu.copy(), kappa.copy()))
-    if not alive:
-        _, _, nu_now, kappa_now = _plane_geometry(points, hy)
-        states.append(FlowState(times[-1], points.copy(), np.exp(log_phi),
-                                nu_now, kappa_now, alive=False))
-    series = _series_or_none(times, masses, theta)
-    return FlowResult(states=states, series=series, alive=alive,
-                      death_reason=reason,
-                      diagnostics={"m": m, "dt": dt,
-                                   "min_phi": float(np.exp(log_phi).min())})
+    result, y = _rk4_flow(
+        y, geometry(y), geometry, rhs, lambda z: (z[:, :2], np.exp(z[:, 2])),
+        lambda z, g: polyline_area(z[:, :2], hy), phi_vals, t_end, dt,
+        snapshot_every, kappa_floor, theta, "positivity-loss")
+    result.diagnostics["min_phi"] = float(np.exp(y[:, 2]).min())
+    return result
 
 
 # ---------------------------------------------------------------------------

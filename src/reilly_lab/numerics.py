@@ -80,11 +80,8 @@ def fourier_diff_matrix(m: int) -> np.ndarray:
     j = np.arange(m)
     col = np.zeros(m)
     col[1:] = 0.5 * (-1.0) ** j[1:] / np.tan(j[1:] * np.pi / m)
-    # circulant with first row = col reversed pattern; build explicitly
-    d = np.empty((m, m))
-    for i in range(m):
-        d[i] = np.roll(col, i)
-    return d.T  # D[i, j] = col[(i - j) mod m]
+    # D[i, j] = col[(i - j) mod m]; the transposed gather is F-ordered
+    return col[(j[None, :] - j[:, None]) % m].T
 
 
 def spectral_diff(values: np.ndarray, order: int = 1) -> np.ndarray:

@@ -70,9 +70,6 @@ class DiscreteOperator:
         out[1:] += self.lower * u[:-1]
         return out
 
-    def weighted_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(self.weights * np.asarray(u), np.asarray(v)))
-
     def symmetric_form(self):
         """Return data for the conjugated operator S = D L D^{-1}, D = diag(symmetrizer).
 

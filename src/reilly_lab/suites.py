@@ -370,6 +370,19 @@ def _boundary_checks(seed: int) -> List[Tuple[str, Callable]]:
 # suite: flows
 
 
+def _pnf_minkowski_oracle(m: int, t_end: float, dt: float):
+    """(Hausdorff distance, FlowResult) of the plane parallel normal flow
+    from the unit disk at speed 1 + 0.12 cos 2t + 0.02 cos 4t against the
+    Minkowski sum disk + t_end * (body with that support function)."""
+    from .bodies import build_plane_body
+    disk = presets.disk_body(m=m)
+    phi = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
+    speed_body = build_plane_body(phi, m=m, label="speed-body")
+    res = parallel_normal_flow(disk, phi, t_end, dt, snapshot_every=10**9)
+    target = minkowski_sum_support(disk, speed_body, t_end)
+    return hausdorff_points(res.states[-1].points, target.points()), res
+
+
 def _flow_checks(seed: int) -> List[Tuple[str, Callable]]:
     def pnf_disk():
         disk = presets.disk_body(m=256)
@@ -387,13 +400,7 @@ def _flow_checks(seed: int) -> List[Tuple[str, Callable]]:
         return out
 
     def pnf_oracle():
-        from .bodies import build_plane_body
-        disk = presets.disk_body(m=256)
-        phi = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
-        body_l = build_plane_body(phi, m=256, label="speed-body")
-        res = parallel_normal_flow(disk, phi, 0.5, 2e-3, snapshot_every=250)
-        target = minkowski_sum_support(disk, body_l, 0.5)
-        dist = hausdorff_points(res.states[-1].points, target.points())
+        dist, res = _pnf_minkowski_oracle(256, 0.5, 2e-3)
         return [
             from_identity("flows/pnf-vs-minkowski", residual=dist,
                           tolerance=1e-4, params={"m": 256, "dt": 2e-3}),

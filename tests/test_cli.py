@@ -201,6 +201,30 @@ def test_flow_rejects_bad_body(capsys):
     assert run_cli(["flow", "--body", "dodecahedron"]) == 2
 
 
+@pytest.mark.parametrize("dt", ["0", "-1e-3", "nan", "inf"])
+def test_flow_rejects_bad_dt(dt, capsys):
+    assert run_cli(["flow", f"--dt={dt}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "dt" in err
+
+
+def test_flow_rejects_zero_snapshot_every(tmp_path, capsys):
+    cfg = tmp_path / "snap.cfg"
+    cfg.write_text("[flow]\nsnapshot_every = 0\n")
+    assert run_cli(["flow", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "snapshot_every" in err
+
+
+@pytest.mark.parametrize("values", ["0", "1e-3,-1e-3", "nan"])
+def test_sweep_flow_oracle_rejects_bad_dt(values, capsys):
+    code = run_cli(["sweep", "--check", "flow-oracle", "--param", "dt",
+                    "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "dt" in err
+
+
 def test_emit_report_empty_and_number_format():
     text = emit_report([], {"suite": "all"})
     doc = json.loads(text)

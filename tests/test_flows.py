@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reilly_lab import flows
 from reilly_lab.bodies import build_plane_body, build_sphere_cap
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import CapOverflow
@@ -130,6 +131,20 @@ def test_pnf_death_reported_not_raised():
     assert res.series.times[-1] < 1.5
 
 
+def test_pnf_self_intersection_death_reported(monkeypatch):
+    # the sweep runs on every intersect_every-th candidate; a detected
+    # crossing ends the run before that candidate is accepted
+    monkeypatch.setattr(flows, "self_intersects", lambda points: True)
+    res = parallel_normal_flow(disk_body(m=64), 1.0, 0.2, 2e-3,
+                               intersect_every=10)
+    assert not res.alive
+    assert res.death_reason == "self-intersection"
+    assert not res.states[-1].alive
+    assert res.diagnostics["steps_run"] == 9
+    assert parallel_normal_flow(disk_body(m=64), 1.0, 0.2, 2e-3,
+                                intersect_every=0).alive
+
+
 def test_pnf_normals_stay_unit():
     res = parallel_normal_flow(wavy_body(m=128), 1.0, 0.2, 2e-3,
                                snapshot_every=25)
@@ -170,6 +185,16 @@ def test_pnf_sphere_nonconstant_speed_keeps_normals_parallel():
     assert gap <= 1e-6      # Gauss-Bonnet vs azimuthal band quadrature
 
 
+def test_pnf_sphere_death_reported_not_raised():
+    # speed 1 + 0.3 cos 2t pinches the wide cap to the curvature floor
+    res = parallel_normal_flow(latitude_circle(1.2, 128),
+                               TrigPolynomial((1.0, 0.0, 0.3)), 1.5, 2e-3)
+    assert not res.alive
+    assert res.death_reason == "curvature-floor"
+    assert not res.states[-1].alive
+    assert res.series.times[-1] < 1.5
+
+
 # ---------------------------------------------------------------------------
 # Weingarten wave
 
@@ -207,6 +232,47 @@ def test_weingarten_two_resolution_consistency():
     fine = weingarten_wave(disk_body(m=128),
                            TrigPolynomial((1.0, 0.0, 0.2)), 0.2, 2e-4)
     assert abs(coarse.series.masses[-1] - fine.series.masses[-1]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the shared RK4 integrator
+
+
+@pytest.mark.parametrize("run, budget", [
+    (lambda t: parallel_normal_flow(disk_body(m=64),
+                                    TrigPolynomial((1.0, 0.0, 0.12)), t,
+                                    2e-3), 8),
+    (lambda t: parallel_normal_flow(latitude_circle(1.0, 64),
+                                    TrigPolynomial((1.0, 0.0, 0.1)), t,
+                                    2e-3), 12),
+    (lambda t: weingarten_wave(disk_body(m=64),
+                               TrigPolynomial((1.0, 0.0, 0.2)), t / 10.0,
+                               2e-4), 16),
+], ids=["plane", "sphere", "wave"])
+def test_flow_stencil_calls_per_step_within_budget(monkeypatch, run, budget):
+    # geometry is evaluated once per state (an accepted candidate's
+    # geometry is the next first stage) and the PNF speed's derivative
+    # once per run; the extra 50 steps of the longer run isolate the
+    # per-step cost from the setup
+    calls = [0]
+
+    def counted(stencil):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return stencil(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flows, "periodic_diff1", counted(flows.periodic_diff1))
+    monkeypatch.setattr(flows, "periodic_diff2", counted(flows.periodic_diff2))
+    per_run = []
+    for t_end in (0.1, 0.2):
+        calls[0] = 0
+        res = run(t_end)
+        assert res.alive
+        per_run.append((calls[0], res.series.times.size - 1))
+    (short_calls, short_steps), (long_calls, long_steps) = per_run
+    assert long_steps - short_steps == 50
+    assert (long_calls - short_calls) / 50 <= budget
 
 
 # ---------------------------------------------------------------------------

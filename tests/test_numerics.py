@@ -56,6 +56,19 @@ def test_fourier_matrix_antisymmetric_and_exact():
     np.testing.assert_allclose(d @ np.ones(m), 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [4, 8, 128, 256])
+def test_fourier_matrix_matches_rolled_circulant(m):
+    # reference: the circulant built row by row with np.roll, transposed;
+    # same values and the same F-ordered layout (BLAS takes one path)
+    d = fourier_diff_matrix(m)
+    j = np.arange(m)
+    col = np.zeros(m)
+    col[1:] = 0.5 * (-1.0) ** j[1:] / np.tan(j[1:] * np.pi / m)
+    rows = np.array([np.roll(col, i) for i in range(m)])
+    assert np.array_equal(d, rows.T)
+    assert d.flags.f_contiguous and d.strides == rows.T.strides
+
+
 def test_spectral_diff_matches_matrix():
     m = 64
     y = np.arange(m) * (2 * np.pi / m)
