@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from .dimension import theta_from_config_n
 from .errors import ConfigError
 from .suites import SUITE_NAMES
 
@@ -115,6 +116,21 @@ def _to_step(value: str, key: str) -> float:
     return step
 
 
+def _check_n_pts(n_pts: float) -> None:
+    if not (math.isfinite(n_pts) and int(n_pts) >= 16):
+        raise ConfigError(f"n_pts must be at least 16, got {n_pts!r}")
+
+
+def _check_lichnerowicz_n(value: str) -> None:
+    try:
+        theta = theta_from_config_n(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad N {value!r}: {exc}") from exc
+    if theta.theta == 1.0:
+        raise ConfigError("N = 1 leaves the Lichnerowicz factor rho/(N-1) "
+                          "undefined")
+
+
 def load_config(path: Optional[str] = None,
                 overrides: Optional[dict] = None) -> SuiteConfig:
     """Assemble the effective config: file, then CLI overrides, then env.
@@ -169,8 +185,9 @@ def load_config(path: Optional[str] = None,
                           f"{', '.join(SUITE_NAMES)}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if cfg.tol_scale <= 0.0:
-        raise ConfigError("tol_scale must be positive")
+    if not (math.isfinite(cfg.tol_scale) and cfg.tol_scale > 0.0):
+        raise ConfigError(f"tol_scale must be finite and positive, got "
+                          f"{cfg.tol_scale!r}")
     return cfg
 
 
@@ -198,6 +215,15 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
     if check == "flow-oracle":
         for raw in raw_values:
             _to_step(raw, "dt")
+    n_pts = _to_int(sweep.get("n_pts", "4001"), "n_pts")
+    if param == "n_pts":
+        for value in raw_values:
+            _check_n_pts(_to_float(value, "n_pts"))
+    elif check != "flow-oracle":
+        _check_n_pts(n_pts)
+    if check == "lichnerowicz":
+        for value in raw_values if param == "N" else [sweep.get("N", "5")]:
+            _check_lichnerowicz_n(value)
     out = {
         "check": check,
         "param": param,
@@ -205,7 +231,7 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
         "rho": _to_float(sweep.get("rho", "1.0"), "rho"),
         "N": sweep.get("N", "5"),
         "case": sweep.get("case", "neumann"),
-        "n_pts": _to_int(sweep.get("n_pts", "4001"), "n_pts"),
+        "n_pts": n_pts,
         "m": _to_int(sweep.get("m", "256"), "m"),
         "t_end": _to_float(sweep.get("t_end", "0.5"), "t_end"),
     }
@@ -224,6 +250,8 @@ def validate_flow(cfg: SuiteConfig) -> dict:
         raise ConfigError(f"bad phi_coeffs {coeffs_text!r}") from exc
     if not coeffs:
         raise ConfigError("phi_coeffs must be a non-empty comma list")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ConfigError(f"phi_coeffs must be finite, got {coeffs_text!r}")
     snapshot_every = _to_int(flow.get("snapshot_every", "10"),
                              "snapshot_every")
     if snapshot_every < 1:

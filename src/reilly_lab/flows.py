@@ -223,6 +223,23 @@ def polyline_area(points: np.ndarray, hy: float) -> float:
 
 
 def self_intersects(points: np.ndarray) -> bool:
+    """Whether two non-adjacent segments of the closed polyline cross.
+
+    An O(m) certificate comes first: when every exterior turn is positive
+    and the turns sum to less than 3 pi (so to exactly 2 pi, turning
+    number one), the polygon is convex and simple.  Anything else goes to
+    the O(m^2) proper-crossing sweep.
+    """
+    e = np.roll(points, -1, axis=0) - points
+    f = np.roll(e, -1, axis=0)
+    turns = np.arctan2(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0],
+                       e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1])
+    if np.all(turns > 0.0) and np.sum(turns) < 3.0 * math.pi:
+        return False
+    return _crossing_sweep(points)
+
+
+def _crossing_sweep(points: np.ndarray) -> bool:
     """Proper-crossing sweep over all non-adjacent polyline segment pairs."""
     m = points.shape[0]
     a = points
@@ -355,6 +372,12 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     may veto step k and watch(y_prev, g_prev, y, g) sees accepted steps.
     Returns the FlowResult (diagnostics m, dt) and the last state.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be at least 1, got "
+                         f"{snapshot_every!r}")
+
     def snapshot(t, alive=True):
         points, phi = view(y)
         return FlowState(t, points.copy(), phi.copy(), g[2].copy(),

@@ -51,21 +51,34 @@ def diff2(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _wrap_pad(y: np.ndarray) -> np.ndarray:
+    """y extended by two periodic samples at each end along axis 0.
+
+    p[k] = y[(k - 2) mod m], so p[4:], p[3:m+3], p[1:m+1] and p[:m] are
+    np.roll(y, s, 0) for s = -2, -1, 1, 2 (for every m >= 1).
+    """
+    return np.take(y, np.arange(-2, y.shape[0] + 2), axis=0, mode="wrap")
+
+
 def periodic_diff1(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative of periodic samples (4th-order central).
 
     Works on arrays of shape (m,) or (m, k); differentiates along axis 0.
     """
     y = np.asarray(y, dtype=float)
-    return (8.0 * (np.roll(y, -1, 0) - np.roll(y, 1, 0)) - (np.roll(y, -2, 0) - np.roll(y, 2, 0))) / (12.0 * h)
+    m = y.shape[0]
+    p = _wrap_pad(y)
+    return (8.0 * (p[3:m + 3] - p[1:m + 1]) - (p[4:] - p[:m])) / (12.0 * h)
 
 
 def periodic_diff2(y: np.ndarray, h: float) -> np.ndarray:
     """Second derivative of periodic samples (4th-order central)."""
     y = np.asarray(y, dtype=float)
+    m = y.shape[0]
+    p = _wrap_pad(y)
     return (
-        -(np.roll(y, -2, 0) + np.roll(y, 2, 0))
-        + 16.0 * (np.roll(y, -1, 0) + np.roll(y, 1, 0))
+        -(p[4:] + p[:m])
+        + 16.0 * (p[3:m + 3] + p[1:m + 1])
         - 30.0 * y
     ) / (12.0 * h * h)
 

@@ -10,7 +10,7 @@ from .bodies import (ConvexPlaneBody, build_plane_body, build_sphere_body,
                      build_sphere_cap, build_spheroid_body,
                      plane_body_from_samples)
 from .dimension import InverseDimension
-from .errors import ConfigError
+from .errors import ConfigError, ConvexityViolation
 from .models import (ModelDensityParams, build_gaussian_interval,
                      build_interval_model, build_model_density,
                      build_radial_ball)
@@ -150,6 +150,6 @@ def body_from_spec(spec: str, m: int = DEFAULT_M):
         if name == "spheroid":
             a, c = (args + [1.0, 1.2])[:2]
             return spheroid_body(a, c)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ConvexityViolation) as exc:
         raise ConfigError(f"bad body spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown body {name!r}")

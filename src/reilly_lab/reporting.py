@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List
 
+import numpy as np
+
 from .checks import CheckReport
 
 SCHEMA_VERSION = "1"
@@ -133,11 +135,10 @@ def flow_csv(states) -> str:
         header = "t,idx,x,y,z,phi,kappa,nux,nuy,nuz"
     lines = [header]
     for state in states:
-        for i in range(state.points.shape[0]):
-            cells = [format(state.t, ".17g"), str(i)]
-            cells.extend(format(c, ".17g") for c in state.points[i])
-            cells.append(format(state.phi[i], ".17g"))
-            cells.append(format(state.kappa[i], ".17g"))
-            cells.extend(format(c, ".17g") for c in state.normals[i])
-            lines.append(",".join(cells))
+        cols = np.column_stack([state.points, state.phi, state.kappa,
+                                state.normals])
+        # "%.17g" % x is format(x, ".17g") for every Python float
+        row = format(state.t, ".17g") + ",%d," + ",".join(
+            ["%.17g"] * cols.shape[1])
+        lines.extend(row % (i, *cells) for i, cells in enumerate(cols.tolist()))
     return "\n".join(lines) + "\n"

@@ -225,6 +225,73 @@ def test_sweep_flow_oracle_rejects_bad_dt(values, capsys):
     assert err.startswith("config error") and "dt" in err
 
 
+def test_verify_rejects_nan_tol_scale(capsys):
+    assert run_cli(["verify", "--suite", "colesanti", "--tol-scale", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "tol_scale" in err
+
+
+def test_flow_rejects_nan_phi_coeffs(capsys):
+    assert run_cli(["flow", "--phi-coeffs", "1,nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "phi_coeffs" in err
+
+
+def test_flow_rejects_nonconvex_body(capsys):
+    assert run_cli(["flow", "--body", "ellipse:0,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "body" in err
+
+
+@pytest.mark.parametrize("param,values,key", [("N", "1", "N"),
+                                              ("N", "5,1", "N"),
+                                              ("n_pts", "5", "n_pts")])
+def test_sweep_lichnerowicz_rejects_bad_values(param, values, key, capsys):
+    code = run_cli(["sweep", "--check", "lichnerowicz", "--param", param,
+                    "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
+def _flow_csv_per_cell(states):
+    # reference: the per-cell formatting loop the CSV emitter replaced
+    dim = states[0].points.shape[1]
+    lines = ["t,idx,x,y,phi,kappa,nux,nuy" if dim == 2
+             else "t,idx,x,y,z,phi,kappa,nux,nuy,nuz"]
+    for state in states:
+        for i in range(state.points.shape[0]):
+            cells = [format(state.t, ".17g"), str(i)]
+            cells.extend(format(c, ".17g") for c in state.points[i])
+            cells.append(format(state.phi[i], ".17g"))
+            cells.append(format(state.kappa[i], ".17g"))
+            cells.extend(format(c, ".17g") for c in state.normals[i])
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_flow_csv_matches_per_cell_format():
+    from reilly_lab.flows import (FlowState, latitude_circle,
+                                  parallel_normal_flow)
+    from reilly_lab.presets import ellipse_body
+    from reilly_lab.reporting import flow_csv
+    plane = parallel_normal_flow(ellipse_body(1.3, 1.0, m=64), 1.0, 0.05,
+                                 1e-2, snapshot_every=2).states
+    sphere = parallel_normal_flow(latitude_circle(1.0, 32), 1.0, 0.05,
+                                  1e-2, snapshot_every=2).states
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324,
+                        -1.0 / 3.0])
+    for states in (plane, sphere):
+        last = states[-1]
+        m, dim = last.points.shape
+        fill = np.resize(special, m * dim).reshape(m, dim)
+        odd = FlowState(-0.0, fill, np.resize(special[::-1], m),
+                        fill[:, ::-1].copy(), np.resize(special, m),
+                        alive=False)
+        states = states + [odd]
+        assert flow_csv(states) == _flow_csv_per_cell(states)
+
+
 def test_emit_report_empty_and_number_format():
     text = emit_report([], {"suite": "all"})
     doc = json.loads(text)

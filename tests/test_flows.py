@@ -8,7 +8,8 @@ from reilly_lab import flows
 from reilly_lab.bodies import build_plane_body, build_sphere_cap
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import CapOverflow
-from reilly_lab.flows import (ConcavitySeries, cap_extension_series,
+from reilly_lab.flows import (ConcavitySeries, _crossing_sweep,
+                              cap_extension_series,
                               concavity_check, geodesic_extension_measure,
                               hausdorff_points, isoperimetric_checks,
                               latitude_circle, minkowski_sum_support,
@@ -145,6 +146,24 @@ def test_pnf_self_intersection_death_reported(monkeypatch):
                                 intersect_every=0).alive
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_flows_reject_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        parallel_normal_flow(disk_body(m=64), 1.0, 0.2, dt)
+    with pytest.raises(ValueError, match="dt"):
+        parallel_normal_flow(latitude_circle(1.0, 64), 1.0, 0.2, dt)
+    with pytest.raises(ValueError, match="dt"):
+        weingarten_wave(disk_body(m=64), 1.0, 0.2, dt)
+
+
+def test_flows_reject_zero_snapshot_every():
+    with pytest.raises(ValueError, match="snapshot_every"):
+        parallel_normal_flow(disk_body(m=64), 1.0, 0.2, 1e-2,
+                             snapshot_every=0)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        weingarten_wave(disk_body(m=64), 1.0, 0.2, 1e-3, snapshot_every=0)
+
+
 def test_pnf_normals_stay_unit():
     res = parallel_normal_flow(wavy_body(m=128), 1.0, 0.2, 2e-3,
                                snapshot_every=25)
@@ -158,6 +177,53 @@ def test_self_intersection_detector():
     assert not self_intersects(square)
     bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     assert self_intersects(bowtie)
+
+
+def _star_polygon(m, noise, seed):
+    rng = np.random.default_rng(seed)
+    angles = np.arange(m) * (2.0 * np.pi / m)
+    r = 1.0 + noise * rng.standard_normal(m)
+    return np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+
+
+def _swapped(points, i, j):
+    out = points.copy()
+    out[[i, j]] = out[[j, i]]
+    return out
+
+
+def test_self_intersects_matches_sweep_on_fixtures():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    # limacon r = 1 + 2 cos t: every turn positive, turning number two,
+    # so the sum test alone sends it to the sweep
+    t = np.arange(256) * (2.0 * np.pi / 256)
+    r = 1.0 + 2.0 * np.cos(t)
+    limacon = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    for poly in (square, bowtie, square[::-1], bowtie[::-1], limacon):
+        assert self_intersects(poly) == _crossing_sweep(poly)
+    assert self_intersects(limacon)
+
+
+def test_self_intersects_matches_sweep_on_convex_corpus():
+    # the O(m) certificate decides these; the sweep is the oracle
+    for body in random_convex_bodies(30, 7, m=1024):
+        points = body.points()
+        assert self_intersects(points) is False
+        assert _crossing_sweep(points) is False
+
+
+@pytest.mark.parametrize("m", [64, 1024])
+@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-3])
+def test_self_intersects_matches_sweep_on_star_polygons(noise, m):
+    # near-degenerate turns, clockwise orientation and swapped vertices
+    # (adjacent and far apart) must give the sweep's answer
+    star = _star_polygon(m, noise, seed=m)
+    polys = [star, star[::-1], _swapped(star, 3, 4),
+             _swapped(star, m // 8, m // 2)]
+    got = [self_intersects(p) for p in polys]
+    assert got == [_crossing_sweep(p) for p in polys]
+    assert got[0] is False and got[3] is True
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,22 @@ def test_fourier_matrix_matches_rolled_circulant(m):
     assert d.flags.f_contiguous and d.strides == rows.T.strides
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 128, 1024])
+@pytest.mark.parametrize("tail", [(), (2,), (3,)])
+def test_periodic_diff_matches_rolled_stencils(m, tail):
+    # reference: the four-np.roll expressions; the wrap-padded slices feed
+    # the same operands in the same order, so the results are bitwise equal
+    y = np.random.default_rng(m).standard_normal((m, *tail))
+    h = 2.0 * np.pi / m
+    d1 = (8.0 * (np.roll(y, -1, 0) - np.roll(y, 1, 0))
+          - (np.roll(y, -2, 0) - np.roll(y, 2, 0))) / (12.0 * h)
+    d2 = (-(np.roll(y, -2, 0) + np.roll(y, 2, 0))
+          + 16.0 * (np.roll(y, -1, 0) + np.roll(y, 1, 0))
+          - 30.0 * y) / (12.0 * h * h)
+    assert np.array_equal(periodic_diff1(y, h), d1)
+    assert np.array_equal(periodic_diff2(y, h), d2)
+
+
 def test_spectral_diff_matches_matrix():
     m = 64
     y = np.arange(m) * (2 * np.pi / m)
