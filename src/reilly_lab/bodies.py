@@ -277,9 +277,15 @@ def _arclength_reparametrize(
         dy = (np.asarray(y(taum + eps)) - np.asarray(y(taum - eps))) / (2 * eps)
         sp = np.hypot(dx, dy)
     speed = CubicSpline(tau, sp)
+    # each segment's integral is the power-form antiderivative of its cubic
+    # at the segment length, in the operation order scipy uses for one
+    # interval, so the sum is bitwise that of speed.integrate per segment
+    c = speed.c
+    h = speed.x[1:] - speed.x[:-1]
+    seg = (c[3] * h + c[2] * (h * h) * 0.5 + c[1] * ((h * h) * h) * (1.0 / 3.0)
+           + c[0] * (((h * h) * h) * h) * 0.25)
     cum = np.empty(nf + 1)
     cum[0] = 0.0
-    seg = [speed.integrate(tau[i], tau[i + 1]) for i in range(nf)]
     cum[1:] = np.cumsum(seg)
     total = cum[-1]
     inverse = CubicSpline(cum, tau)

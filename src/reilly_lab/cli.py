@@ -118,13 +118,15 @@ def _sweep_rows(spec: dict, cfg: SuiteConfig):
                       "n_value": float(spec["N"]),
                       "variant": spec["case"]}
             if spec["param"] == "beta_frac":
-                params = model_density_params(beta_frac=value, **kwargs)
+                params = model_density_params(
+                    beta_frac=value, beta_trunc=spec["beta_trunc"], **kwargs)
                 n_pts = spec["n_pts"]
             elif spec["param"] == "beta_trunc":
                 params = model_density_params(beta_trunc=value, **kwargs)
                 n_pts = spec["n_pts"]
             else:  # n_pts
-                params = model_density_params(**kwargs)
+                params = model_density_params(beta_trunc=spec["beta_trunc"],
+                                              **kwargs)
                 n_pts = int(value)
             rows.append([sharpness_ratio(params, case=spec["case"],
                                          n_pts=n_pts)])

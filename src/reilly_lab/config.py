@@ -224,12 +224,25 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
     if check == "lichnerowicz":
         for value in raw_values if param == "N" else [sweep.get("N", "5")]:
             _check_lichnerowicz_n(value)
+    rho = _to_float(sweep.get("rho", "1.0"), "rho")
+    beta_trunc = (_to_step(sweep["beta_trunc"], "beta_trunc")
+                  if "beta_trunc" in sweep else None)
+    if check == "sharpness":
+        if param == "beta_trunc":
+            for raw in raw_values:
+                _to_step(raw, "beta_trunc")
+        elif beta_trunc is None:
+            n_value = _to_float(sweep.get("N", "5"), "N")
+            if n_value != 1.0 and rho / (n_value - 1.0) <= 0.0:
+                raise ConfigError("a hyperbolic sharpness sweep "
+                                  "(rho/(N-1) <= 0) needs beta_trunc")
     out = {
         "check": check,
         "param": param,
         "values": raw_values,
-        "rho": _to_float(sweep.get("rho", "1.0"), "rho"),
+        "rho": rho,
         "N": sweep.get("N", "5"),
+        "beta_trunc": beta_trunc,
         "case": sweep.get("case", "neumann"),
         "n_pts": n_pts,
         "m": _to_int(sweep.get("m", "256"), "m"),

@@ -370,6 +370,8 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     (points, phi), phi0 the initial speed, mass(y, g) the series measure.
     project maps stages back onto the constraint manifold, reject(k, y)
     may veto step k and watch(y_prev, g_prev, y, g) sees accepted steps.
+    A candidate whose mass is not finite and positive ends the run as
+    "measure-loss".
     Returns the FlowResult (diagnostics m, dt) and the last state.
     """
     if not (math.isfinite(dt) and dt > 0.0):
@@ -403,6 +405,10 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
             alive, reason = False, "curvature-floor"
         elif reject is not None and reject(k, candidate):
             alive, reason = False, "self-intersection"
+        else:
+            mass_next = mass(candidate, g_next)
+            if not (math.isfinite(mass_next) and mass_next > 0.0):
+                alive, reason = False, "measure-loss"
         if not alive:
             states.append(snapshot(times[-1], alive=False))
             break
@@ -410,7 +416,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
             watch(y, g, candidate, g_next)
         y, g = candidate, g_next
         times.append((k + 1) * dt)
-        masses.append(mass(y, g))
+        masses.append(mass_next)
         if (k + 1) % snapshot_every == 0 or k == steps - 1:
             states.append(snapshot(times[-1]))
     series = (ConcavitySeries(np.array(times), np.array(masses), theta)
@@ -434,8 +440,9 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
     phi is fixed per trajectory for all time (the flow's defining
     property).  Returns states (subsampled snapshots plus the endpoint),
     a ConcavitySeries of enclosed measure at every accepted step, the
-    accumulated normal drift, and the death record if the curvature floor
-    or a self-intersection ended the run early.
+    accumulated normal drift, and the death record if the curvature floor,
+    a self-intersection or the loss of positive enclosed measure ended
+    the run early.
     """
     if theta is None:
         theta = InverseDimension(0.5, n_ambient=2)

@@ -216,29 +216,40 @@ def _revolution_mode_operators(body: RevolutionBody3D, m_max: int):
     return ops
 
 
+def _check_count(op: DiscreteOperator, count: int, spare: int = 0) -> None:
+    """Reject a count outside 1..(solved size - spare)."""
+    size = (op.n - 2 if op.bc == DIRICHLET else op.n) - spare
+    if not 1 <= count <= size:
+        raise ValueError(f"count must lie in 1..{size}, got {count!r}")
+
+
 def spectral_gap(op: DiscreteOperator, count: int = 1):
     """Smallest positive eigenvalue of -L and its eigenvector.
 
     Neumann and periodic operators have an exact zero mode (constants);
     the gap is the next eigenvalue.  Dirichlet operators restrict to the
-    interior nodes first.  The eigenvector is normalized in the weighted
-    norm and returned on the full grid.
+    interior nodes first.  Only the eigenpairs 0..count are computed.
+    The eigenvector is normalized in the weighted norm and returned on
+    the full grid.
     """
+    _check_count(op, count, spare=1)
     try:
         if op.kind == "periodic":
+            # the deflated alternating mode sits at the top of -S, never
+            # inside the leading subset
             s = -op.deflated_symmetric()
-            vals, vecs = eigh(s)
+            vals, vecs = eigh(s, subset_by_index=[0, count])
             idx = 1
         elif op.bc == DIRICHLET:
             diag, off = op.symmetric_form()
             vals, vecs = eigh_tridiagonal(-diag[1:-1], -off[1:-1],
                                           select="i",
-                                          select_range=(0, max(count, 1)))
+                                          select_range=(0, count))
             idx = 0
         else:
             diag, off = op.symmetric_form()
             vals, vecs = eigh_tridiagonal(-diag, -off, select="i",
-                                          select_range=(0, max(count, 1)))
+                                          select_range=(0, count))
             idx = 1
     except LinAlgError as exc:  # pragma: no cover - grid pathology
         raise ConvergenceFailure(f"eigensolve failed on {op.model_ref}") from exc
@@ -255,10 +266,10 @@ def spectral_gap(op: DiscreteOperator, count: int = 1):
 
 def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
     """Leading eigenvalues of -L (ascending), including any zero mode."""
+    _check_count(op, count)
     if op.kind == "periodic":
         s = -op.deflated_symmetric()
-        vals = eigh(s, eigvals_only=True)
-        return vals[:count]
+        return eigh(s, eigvals_only=True, subset_by_index=[0, count - 1])
     diag, off = op.symmetric_form()
     if op.bc == DIRICHLET:
         diag, off = diag[1:-1], off[1:-1]

@@ -132,10 +132,12 @@ def flat_ball(n_ambient: int = 2, r_outer: float = 1.0, n_pts: int = 1001):
 
 def body_from_spec(spec: str, m: int = DEFAULT_M):
     """Parse CLI/config body specs: disk | ellipse:a,b | wavy | cap:r |
-    sphere[:R] | spheroid:a,c."""
+    sphere[:R] | spheroid:a,c.  Every size must be finite and positive."""
     name, _, argtext = spec.partition(":")
-    args = [float(x) for x in argtext.split(",") if x.strip()] if argtext else []
     try:
+        args = [float(x) for x in argtext.split(",") if x.strip()]
+        if not all(math.isfinite(x) and x > 0.0 for x in args):
+            raise ValueError("sizes must be finite and positive")
         if name == "disk":
             return disk_body(m=m, radius=args[0] if args else 1.0)
         if name == "ellipse":

@@ -318,3 +318,52 @@ def test_checkreport_pass_rule_matches_slack():
         assert rep.passed == (rep.slack >= -tol)
 
     inner()
+
+
+@pytest.mark.parametrize("body", ["ellipse:-1,1", "disk:nan", "disk:inf",
+                                  "ellipse:inf,1"])
+def test_flow_rejects_nonpositive_or_nonfinite_body_size(body, capsys):
+    assert run_cli(["flow", "--body", body, "--m", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and body in err
+
+
+def test_flow_sphere_measure_loss_is_a_reported_death(capsys):
+    code = run_cli(["flow", "--body", "cap:0.5", "--phi-coeffs", "1,0,0.5",
+                    "--m", "64", "--dt", "2e-3"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    alive = {c["name"]: c for c in doc["checks"]}["flow-alive"]
+    assert alive["pass"] is False
+    assert alive["params"]["death_reason"] == "measure-loss"
+
+
+_HYPERBOLIC_SHARPNESS = ("[sweep]\ncheck = sharpness\nparam = {param}\n"
+                         "values = {values}\nN = -2\n")
+
+
+@pytest.mark.parametrize("param,values", [("beta_frac", "0.5"),
+                                          ("n_pts", "2001,4001")])
+def test_sweep_sharpness_honours_beta_trunc(param, values, tmp_path, capsys):
+    cfg = tmp_path / "bt.cfg"
+    cfg.write_text(_HYPERBOLIC_SHARPNESS.format(param=param, values=values)
+                   + "beta_trunc = 12\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == len(values.split(","))
+    for row in rows:
+        ratio = float(row.split(",")[1])
+        # b = 12 truncation defect at N = -2 (see the README)
+        assert abs(ratio - 1.0) <= 2e-3
+
+
+@pytest.mark.parametrize("extra", ["", "beta_trunc = nan\n",
+                                   "beta_trunc = -1\n"])
+def test_sweep_sharpness_rejects_missing_or_bad_beta_trunc(extra, tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "bt.cfg"
+    cfg.write_text(_HYPERBOLIC_SHARPNESS.format(param="beta_frac",
+                                                values="0.5") + extra)
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "beta_trunc" in err

@@ -421,3 +421,15 @@ def test_polyline_area_spectral_accuracy():
     disk = disk_body(m=64)
     assert polyline_area(disk.points(), disk.d_angle) == pytest.approx(
         math.pi, abs=1e-12)
+
+
+def test_pnf_sphere_measure_loss_reported_not_raised():
+    # speed 1 + 0.5 cos 2t drives the Gauss-Bonnet area of the m = 64 cap
+    # negative before the curvature floor is reached
+    res = parallel_normal_flow(latitude_circle(0.5, 64),
+                               TrigPolynomial((1.0, 0.0, 0.5)), 0.5, 2e-3)
+    assert not res.alive
+    assert res.death_reason == "measure-loss"
+    assert not res.states[-1].alive
+    assert np.all(res.series.masses > 0.0)
+    assert res.series.times[-1] < 0.5

@@ -167,3 +167,60 @@ def test_radial_ball_boundary_data():
         3, 0.8, 101, V=lambda r: r**2 / 2, dV=lambda r: r,
         ddV=lambda r: np.ones_like(r))
     assert gauss.boundary_h_mu() == pytest.approx(2.0 / 0.8 - 0.8)
+
+
+def _arclength_by_segments(x, y, tau0, tau1, n_cells, refine=16,
+                           speed_fn=None):
+    # reference: the per-segment CubicSpline.integrate loop that the
+    # vectorised power-form sum in bodies._arclength_reparametrize replaced
+    from scipy.interpolate import CubicSpline
+    nf = refine * n_cells
+    tau = np.linspace(tau0, tau1, nf + 1)
+    if speed_fn is not None:
+        sp = np.asarray(speed_fn(tau), dtype=float)
+    else:
+        eps = (tau1 - tau0) * 6e-6
+        taum = np.clip(tau, tau0 + eps, tau1 - eps)
+        dx = (np.asarray(x(taum + eps)) - np.asarray(x(taum - eps))) / (2 * eps)
+        dy = (np.asarray(y(taum + eps)) - np.asarray(y(taum - eps))) / (2 * eps)
+        sp = np.hypot(dx, dy)
+    speed = CubicSpline(tau, sp)
+    cum = np.empty(nf + 1)
+    cum[0] = 0.0
+    seg = [speed.integrate(tau[i], tau[i + 1]) for i in range(nf)]
+    cum[1:] = np.cumsum(seg)
+    inverse = CubicSpline(cum, tau)
+    s = np.linspace(0.0, cum[-1], n_cells + 1)
+    tt = inverse(s)
+    tt[0], tt[-1] = tau0, tau1
+    return s, np.asarray(x(tt), dtype=float), np.asarray(y(tt), dtype=float)
+
+
+@pytest.mark.parametrize("n_cells", [64, 1024])
+@pytest.mark.parametrize("a,c", [(0.8, 1.5), (1.2, 0.8), (0.9731, 1.2417),
+                                 (1.1604, 0.8792), (1.0, 1.0), (1.1, 1.1)])
+def test_spheroid_arclength_bitwise_equals_segment_loop(a, c, n_cells):
+    from reilly_lab.bodies import _arclength_reparametrize
+    curve = (lambda tau: a * np.sin(tau), lambda tau: c * np.cos(tau),
+             0.0, math.pi, n_cells)
+    speed = lambda tau: np.sqrt(a * a * np.cos(tau) ** 2
+                                + c * c * np.sin(tau) ** 2)
+    ref = _arclength_by_segments(*curve, speed_fn=speed)
+    got = _arclength_reparametrize(*curve, speed_fn=speed)
+    for want, have in zip(ref, got):
+        assert np.array_equal(want, have)
+    if n_cells == 1024:   # the builder rejects 64 cells as too coarse
+        body = build_spheroid_body(a, c, n_cells)
+        assert np.array_equal(body.s, ref[0])
+        assert np.array_equal(body.r[1:-1], ref[1][1:-1])
+        assert np.array_equal(body.z, ref[2])
+
+
+def test_callable_profile_arclength_bitwise_equals_segment_loop():
+    x = lambda t: np.sin(t) * (1.0 + 0.1 * np.cos(t) ** 2)
+    y = lambda t: 1.1 * np.cos(t)
+    body = build_revolution_body((x, y, 0.0, math.pi), n_cells=512)
+    s, r, z = _arclength_by_segments(x, y, 0.0, math.pi, 512)
+    assert np.array_equal(body.s, s)
+    assert np.array_equal(body.r[1:-1], r[1:-1])
+    assert np.array_equal(body.z, z)

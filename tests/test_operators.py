@@ -14,8 +14,8 @@ from reilly_lab.operators import (DIRICHLET, NEUMANN, PERIODIC,
                                   solve_poisson, spectral_gap,
                                   weighted_integral)
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
-                                model_density_params, sphere_body,
-                                spheroid_body)
+                                model_density_params, random_convex_bodies,
+                                sphere_body, spheroid_body)
 from reilly_lab.trig import TrigPolynomial
 
 
@@ -206,3 +206,39 @@ def test_operator_rejects_tiny_grids():
     with pytest.raises(ValueError):
         model = flat_interval(0.0, 1.0, 16)
         assemble_laplacian(model, "bogus")
+
+
+def _full_spectrum(op):
+    # reference: every eigenvalue of the deflated symmetric form
+    from scipy.linalg import eigh
+    return eigh(-op.deflated_symmetric(), eigvals_only=True)
+
+
+@pytest.mark.parametrize("body", [disk_body()] + random_convex_bodies(6, 0, m=512),
+                         ids=lambda b: b.label)
+def test_periodic_subset_eigensolve_matches_full_eigh(body):
+    op = assemble_laplacian(body, PERIODIC)
+    full = _full_spectrum(op)
+    lam, vec = spectral_gap(op)
+    assert abs(lam - full[1]) <= 1e-9 * max(1.0, abs(full[1]))
+    assert weighted_integral(vec**2, body) == pytest.approx(1.0, abs=1e-10)
+    vals = eigenvalues(op, 7)
+    assert vals.shape == (7,)
+    np.testing.assert_array_less(np.abs(vals - full[:7]),
+                                 1e-9 * np.maximum(1.0, np.abs(full[:7])))
+
+
+@pytest.mark.parametrize("m", [128, 256, 512, 1024])
+def test_disk_periodic_gap_is_one(m):
+    lam, _ = spectral_gap(assemble_laplacian(disk_body(m=m), PERIODIC))
+    assert abs(lam - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("op", [
+    assemble_laplacian(disk_body(m=64), PERIODIC),
+    assemble_laplacian(flat_interval(0.0, 1.0, 64), NEUMANN),
+], ids=["periodic", "neumann"])
+def test_eigenvalues_rejects_count_outside_grid(op):
+    for count in (0, op.n + 1):
+        with pytest.raises(ValueError, match="count"):
+            eigenvalues(op, count)
