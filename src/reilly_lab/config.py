@@ -26,6 +26,8 @@ from typing import Dict, Optional
 
 from .dimension import theta_from_config_n
 from .errors import ConfigError
+from .models import build_model_density
+from .presets import model_density_params
 from .suites import SUITE_NAMES
 
 WORKERS_ENV = "REILLY_LAB_WORKERS"
@@ -33,7 +35,7 @@ WORKERS_ENV = "REILLY_LAB_WORKERS"
 _SCHEMA = {
     "suite": {"name", "seed", "workers", "tol_scale", "out"},
     "sweep": {"check", "param", "values", "rho", "N", "case", "n_pts",
-              "beta_trunc", "m", "t_end", "body", "phi_coeffs"},
+              "beta_trunc", "m", "t_end"},
     "flow": {"kind", "body", "phi_coeffs", "t_end", "dt", "m",
              "snapshot_every"},
 }
@@ -131,6 +133,22 @@ def _check_lichnerowicz_n(value: str) -> None:
                           "undefined")
 
 
+def _check_sharpness_model(rho: float, n_value: float, beta_frac: float,
+                           beta_trunc, n_pts: int) -> None:
+    """Build the sharpness density R^(N-1), truncated at beta_frac times
+    its positivity endpoint or, when hyperbolic, at beta_trunc; a
+    truncation it refuses (outside the positivity domain, a density or a
+    grid spacing outside the double range) is an error naming the key."""
+    key, value = (("beta_frac", beta_frac) if beta_trunc is None
+                  else ("beta_trunc", beta_trunc))
+    try:
+        build_model_density(model_density_params(
+            rho, n_value, beta_frac=beta_frac, beta_trunc=beta_trunc), n_pts)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {value!r} at N = {n_value!r}: "
+                          f"{exc}") from exc
+
+
 def load_config(path: Optional[str] = None,
                 overrides: Optional[dict] = None) -> SuiteConfig:
     """Assemble the effective config: file, then CLI overrides, then env.
@@ -183,6 +201,9 @@ def load_config(path: Optional[str] = None,
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; expected one of "
                           f"{', '.join(SUITE_NAMES)}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got "
+                          f"{cfg.seed}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if not (math.isfinite(cfg.tol_scale) and cfg.tol_scale > 0.0):
@@ -228,14 +249,38 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
     beta_trunc = (_to_step(sweep["beta_trunc"], "beta_trunc")
                   if "beta_trunc" in sweep else None)
     if check == "sharpness":
+        n_value = _to_float(sweep.get("N", "5"), "N")
+        # (N - 1)^2 enters the closed forms and leaves the double range
+        # near |N| = 1e154
+        if not 1.0 < abs(n_value) < 1e150:
+            raise ConfigError(f"sharpness needs 1 < |N| < 1e150, got "
+                              f"N = {n_value!r}")
+        if not rho > 0.0:
+            raise ConfigError(f"sharpness needs rho > 0, got rho = {rho!r}")
+        hyperbolic = rho / (n_value - 1.0) < 0.0
         if param == "beta_trunc":
-            for raw in raw_values:
-                _to_step(raw, "beta_trunc")
-        elif beta_trunc is None:
-            n_value = _to_float(sweep.get("N", "5"), "N")
-            if n_value != 1.0 and rho / (n_value - 1.0) <= 0.0:
-                raise ConfigError("a hyperbolic sharpness sweep "
-                                  "(rho/(N-1) <= 0) needs beta_trunc")
+            truncs = [_to_step(raw, "beta_trunc") for raw in raw_values]
+        else:
+            truncs = [beta_trunc]
+        if not hyperbolic and truncs != [None]:
+            raise ConfigError("beta_trunc applies only to hyperbolic sharpness "
+                              "densities (rho/(N-1) < 0); this one truncates "
+                              "at beta_frac times its positivity endpoint")
+        if hyperbolic and truncs == [None]:
+            raise ConfigError("a hyperbolic sharpness sweep "
+                              "(rho/(N-1) < 0) needs beta_trunc")
+        fracs = [0.999]
+        if param == "beta_frac":
+            fracs = [_to_float(raw, "beta_frac") for raw in raw_values]
+            if not all(0.0 < frac < 1.0 for frac in fracs):
+                raise ConfigError(f"beta_frac values must lie in (0, 1), "
+                                  f"got {sweep['values']!r}")
+        sizes = ([int(_to_float(raw, "n_pts")) for raw in raw_values]
+                 if param == "n_pts" else [n_pts])
+        for frac in fracs:
+            for trunc in truncs:
+                for size in sizes:
+                    _check_sharpness_model(rho, n_value, frac, trunc, size)
     out = {
         "check": check,
         "param": param,
@@ -246,7 +291,7 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
         "case": sweep.get("case", "neumann"),
         "n_pts": n_pts,
         "m": _to_int(sweep.get("m", "256"), "m"),
-        "t_end": _to_float(sweep.get("t_end", "0.5"), "t_end"),
+        "t_end": _to_step(sweep.get("t_end", "0.5"), "t_end"),
     }
     return out
 
@@ -269,12 +314,18 @@ def validate_flow(cfg: SuiteConfig) -> dict:
                              "snapshot_every")
     if snapshot_every < 1:
         raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    t_end = _to_step(flow.get("t_end", "0.5"), "t_end")
+    dt = _to_step(flow.get("dt", "1e-3"), "dt")
+    # round(t_end / dt) steps are run; the concavity check needs two
+    if not 1.5 <= t_end / dt < math.inf:
+        raise ConfigError(f"t_end = {t_end!r} must span at least two and "
+                          f"finitely many steps of dt = {dt!r}")
     return {
         "kind": kind,
         "body": flow.get("body", "disk"),
         "phi_coeffs": coeffs,
-        "t_end": _to_float(flow.get("t_end", "0.5"), "t_end"),
-        "dt": _to_step(flow.get("dt", "1e-3"), "dt"),
+        "t_end": t_end,
+        "dt": dt,
         "m": _to_int(flow.get("m", "256"), "m"),
         "snapshot_every": snapshot_every,
     }

@@ -38,10 +38,11 @@ class IntervalModel:
     label: str = "interval"
 
     def __post_init__(self):
-        if self.b <= self.a:
-            raise ValueError("interval requires b > a")
         if self.n_pts < 16:
             raise ValueError("n_pts must be at least 16")
+        if not self.h > 0.0:
+            raise ValueError("interval requires b > a and a grid spacing "
+                             "(b - a)/(n_pts - 1) above zero")
         for name in ("t", "V", "dV", "ddV"):
             arr = getattr(self, name)
             if arr.shape != (self.n_pts,):

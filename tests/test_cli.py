@@ -367,3 +367,88 @@ def test_sweep_sharpness_rejects_missing_or_bad_beta_trunc(extra, tmp_path,
     assert run_cli(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "beta_trunc" in err
+
+
+def _config_error(capsys, key):
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err, err
+
+
+_SHARPNESS = ("[sweep]\ncheck = sharpness\nparam = {param}\nvalues = {values}\n"
+              "N = {N}\n")
+
+
+def test_sweep_sharpness_rejects_n_equal_one(tmp_path, capsys):
+    cfg = tmp_path / "n1.cfg"
+    cfg.write_text(_SHARPNESS.format(param="beta_frac", values="0.9", N="1"))
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, "N = 1.0")
+
+
+@pytest.mark.parametrize("values", ["0.9,nan", "1.0", "0", "-0.5", "inf"])
+def test_sweep_sharpness_rejects_beta_frac_outside_unit_interval(values,
+                                                                 capsys):
+    assert run_cli(["sweep", "--check", "sharpness", "--param", "beta_frac",
+                    "--values", values]) == 2
+    _config_error(capsys, "beta_frac")
+
+
+@pytest.mark.parametrize("param,values,extra", [
+    ("beta_trunc", "2,3,4", ""),
+    ("beta_frac", "0.9", "beta_trunc = 12\n"),
+    ("n_pts", "2001", "beta_trunc = 12\n"),
+])
+def test_sweep_sharpness_rejects_beta_trunc_on_elliptic_density(
+        param, values, extra, tmp_path, capsys):
+    cfg = tmp_path / "bt.cfg"
+    cfg.write_text(_SHARPNESS.format(param=param, values=values, N="5")
+                   + extra)
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, "beta_trunc")
+
+
+@pytest.mark.parametrize("N,param,values,extra,codes", [
+    # truncations the density refuses: a config error naming the key
+    ("200", "beta_frac", "0.999", "", {2}),
+    ("-2", "beta_trunc", "5e-324", "", {2}),
+    ("-2", "beta_trunc", "1e300", "", {2}),
+    ("1e300", "beta_frac", "1e-9", "", {2}),
+    # integrals that vanish in double precision: the identities fail
+    ("5", "beta_frac", "1e-300", "", {1}),
+    ("-1e149", "beta_trunc", "8", "", {1}),
+])
+def test_sweep_sharpness_degenerate_inputs_never_crash(N, param, values,
+                                                       extra, codes,
+                                                       tmp_path, capsys):
+    cfg = tmp_path / "deg.cfg"
+    cfg.write_text(_SHARPNESS.format(param=param, values=values, N=N) + extra)
+    assert run_cli(["sweep", "--config", str(cfg)]) in codes
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    if codes == {2}:
+        assert param in err or "N =" in err
+
+
+def test_verify_rejects_negative_seed(tmp_path, capsys):
+    assert run_cli(["verify", "--suite", "all", "--seed", "-5"]) == 2
+    _config_error(capsys, "seed")
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[suite]\nseed = -1\n")
+    assert run_cli(["verify", "--config", str(cfg)]) == 2
+    _config_error(capsys, "seed")
+
+
+@pytest.mark.parametrize("t_end", ["-1", "0", "nan", "inf"])
+def test_flow_rejects_bad_t_end(t_end, capsys):
+    assert run_cli(["flow", "--t-end", t_end, "--m", "32"]) == 2
+    _config_error(capsys, "t_end")
+
+
+@pytest.mark.parametrize("key,value", [("body", "disk"),
+                                       ("phi_coeffs", "1,0,0.3")])
+def test_sweep_section_rejects_dead_keys(key, value, tmp_path, capsys):
+    cfg = tmp_path / "dead.cfg"
+    cfg.write_text(_SHARPNESS.format(param="beta_frac", values="0.9", N="5")
+                   + f"{key} = {value}\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, key)
