@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvexityViolation
 from .numerics import diff1, diff2, simpson_uniform, spectral_diff
@@ -266,6 +265,7 @@ def _arclength_reparametrize(
     speed |(x', y')| when available; the difference-quotient fallback uses
     a cube-root-of-eps step to balance truncation against roundoff.
     """
+    from scipy.interpolate import CubicSpline
     nf = refine * n_cells
     tau = np.linspace(tau0, tau1, nf + 1)
     if speed_fn is not None:

@@ -100,12 +100,13 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(document)
     passed = sum(1 for r in reports if r.passed is True)
-    failed = [r.name for r in reports if r.passed is False]
+    failed = [r for r in reports if r.passed is False]
     diag = sum(1 for r in reports if r.passed is None)
     print(f"# suite={cfg.suite} checks={len(reports)} passed={passed} "
           f"failed={len(failed)} diagnostic={diag}", file=sys.stderr)
-    for name in failed:
-        print(f"# FAIL {name}", file=sys.stderr)
+    for r in failed:
+        print(f"# FAIL {r.name} slack={r.slack:.6g} "
+              f"tolerance={r.tolerance:.6g}", file=sys.stderr)
     return EXIT_OK if overall_pass(reports) else EXIT_CHECK_FAILURE
 
 

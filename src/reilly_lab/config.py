@@ -118,6 +118,18 @@ def _to_step(value: str, key: str) -> float:
     return step
 
 
+def _check_whole_steps(t_end: float, dt: float) -> None:
+    """Flows run round(t_end / dt) steps: t_end must be reached exactly."""
+    steps = t_end / dt
+    if steps == math.inf:
+        raise ConfigError(f"t_end = {t_end!r} spans infinitely many steps of "
+                          f"dt = {dt!r}")
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"t_end = {t_end!r} is not a whole number of steps "
+                          f"of dt = {dt!r}; the nearest reachable t_end is "
+                          f"{round(steps) * dt!r}")
+
+
 def _check_n_pts(n_pts: float) -> None:
     if not (math.isfinite(n_pts) and int(n_pts) >= 16):
         raise ConfigError(f"n_pts must be at least 16, got {n_pts!r}")
@@ -233,9 +245,10 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
     raw_values = [v.strip() for v in sweep["values"].split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep values must be a non-empty comma list")
+    t_end = _to_step(sweep.get("t_end", "0.5"), "t_end")
     if check == "flow-oracle":
         for raw in raw_values:
-            _to_step(raw, "dt")
+            _check_whole_steps(t_end, _to_step(raw, "dt"))
     n_pts = _to_int(sweep.get("n_pts", "4001"), "n_pts")
     if param == "n_pts":
         for value in raw_values:
@@ -245,6 +258,10 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
     if check == "lichnerowicz":
         for value in raw_values if param == "N" else [sweep.get("N", "5")]:
             _check_lichnerowicz_n(value)
+    case = sweep.get("case", "neumann").lower()
+    if case not in ("neumann", "dirichlet"):
+        raise ConfigError(f"case must be neumann or dirichlet, got "
+                          f"{sweep['case']!r}")
     rho = _to_float(sweep.get("rho", "1.0"), "rho")
     beta_trunc = (_to_step(sweep["beta_trunc"], "beta_trunc")
                   if "beta_trunc" in sweep else None)
@@ -257,6 +274,10 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
                               f"N = {n_value!r}")
         if not rho > 0.0:
             raise ConfigError(f"sharpness needs rho > 0, got rho = {rho!r}")
+        if case == "dirichlet" and n_value < 0.0:
+            raise ConfigError("case = dirichlet needs N > 1 for sharpness: "
+                              "for N < 0 the extremal function does not "
+                              "vanish at infinity")
         hyperbolic = rho / (n_value - 1.0) < 0.0
         if param == "beta_trunc":
             truncs = [_to_step(raw, "beta_trunc") for raw in raw_values]
@@ -288,10 +309,10 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
         "rho": rho,
         "N": sweep.get("N", "5"),
         "beta_trunc": beta_trunc,
-        "case": sweep.get("case", "neumann"),
+        "case": case,
         "n_pts": n_pts,
         "m": _to_int(sweep.get("m", "256"), "m"),
-        "t_end": _to_step(sweep.get("t_end", "0.5"), "t_end"),
+        "t_end": t_end,
     }
     return out
 
@@ -316,10 +337,11 @@ def validate_flow(cfg: SuiteConfig) -> dict:
         raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
     t_end = _to_step(flow.get("t_end", "0.5"), "t_end")
     dt = _to_step(flow.get("dt", "1e-3"), "dt")
-    # round(t_end / dt) steps are run; the concavity check needs two
+    # the concavity check needs two steps
     if not 1.5 <= t_end / dt < math.inf:
         raise ConfigError(f"t_end = {t_end!r} must span at least two and "
                           f"finitely many steps of dt = {dt!r}")
+    _check_whole_steps(t_end, dt)
     return {
         "kind": kind,
         "body": flow.get("body", "disk"),

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bodies import ConvexPlaneBody, RevolutionBody3D
 from .checks import (CheckReport, from_identity, from_inequality,
@@ -258,6 +257,7 @@ def sharpness_ratio(params: ModelDensityParams, case: str = "neumann",
     ratio = lhs / rhs if rhs else math.nan
     # independent closed-form route: adaptive quadrature of R^{N+1} and the
     # exact boundary term of the integration by parts on the truncated domain
+    from scipy.integrate import quad
     a, b = model.a, model.b
     int_rn1, _ = quad(lambda t: float(R(t)) ** (n_value + 1.0), a, b,
                       epsabs=1e-13, epsrel=1e-12, limit=200)

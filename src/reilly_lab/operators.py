@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal, solve_banded
+from numpy.linalg import LinAlgError
 
 from .bodies import ConvexPlaneBody, RevolutionBody3D, SphereCap
 from .errors import ConvergenceFailure, SingularSystem
@@ -232,6 +232,7 @@ def spectral_gap(op: DiscreteOperator, count: int = 1):
     The eigenvector is normalized in the weighted norm and returned on
     the full grid.
     """
+    from scipy.linalg import eigh, eigh_tridiagonal
     _check_count(op, count, spare=1)
     try:
         if op.kind == "periodic":
@@ -266,6 +267,7 @@ def spectral_gap(op: DiscreteOperator, count: int = 1):
 
 def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
     """Leading eigenvalues of -L (ascending), including any zero mode."""
+    from scipy.linalg import eigh, eigh_tridiagonal
     _check_count(op, count)
     if op.kind == "periodic":
         s = -op.deflated_symmetric()
@@ -289,6 +291,7 @@ def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
     Raises SingularSystem when the compatibility defect exceeds 1e-6
     relative, which signals a caller bug rather than roundoff.
     """
+    from scipy.linalg import solve_banded
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ValueError("f must match the operator's grid")
@@ -456,6 +459,7 @@ def boundary_gap_revolution(body: RevolutionBody3D, m_max: int = 8):
     gap is the minimum over azimuthal modes 0..m_max, excluding the
     constant mode of the axisymmetric block.  Returns (lambda_1, mode).
     """
+    from scipy.linalg import eigh_tridiagonal
     ops = _revolution_mode_operators(body, m_max)
     best = math.inf
     best_mode = -1

@@ -452,3 +452,85 @@ def test_sweep_section_rejects_dead_keys(key, value, tmp_path, capsys):
                    + f"{key} = {value}\n")
     assert run_cli(["sweep", "--config", str(cfg)]) == 2
     _config_error(capsys, key)
+
+
+@pytest.mark.parametrize("check,param,values", [
+    ("sharpness", "beta_frac", "0.9"),
+    ("lichnerowicz", "n_pts", "201"),
+])
+def test_sweep_rejects_unknown_case(check, param, values, tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(f"[sweep]\ncheck = {check}\nparam = {param}\n"
+                   f"values = {values}\ncase = foo\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, "case")
+
+
+@pytest.mark.parametrize("check,param,values", [
+    ("sharpness", "n_pts", "201"),
+    ("lichnerowicz", "N", "inf"),
+])
+def test_sweep_case_is_case_insensitive(check, param, values, tmp_path,
+                                        capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(f"[sweep]\ncheck = {check}\nparam = {param}\n"
+                   f"values = {values}\ncase = Dirichlet\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    if check == "lichnerowicz":
+        assert "lichnerowicz-dirichlet:lhs" in captured.out
+
+
+def test_sweep_sharpness_rejects_dirichlet_at_negative_n(tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(_HYPERBOLIC_SHARPNESS.format(param="n_pts", values="201")
+                   + "beta_trunc = 12\ncase = dirichlet\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, "case")
+
+
+def test_flow_rejects_t_end_off_the_step_grid(capsys):
+    assert run_cli(["flow", "--t-end", "0.0015", "--dt", "1e-3",
+                    "--m", "32"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "t_end" in err, err
+    assert "nearest reachable t_end is 0.002" in err
+
+
+@pytest.mark.parametrize("t_end,dt", [("0.5", "1e-3"), ("0.4", "1e-3"),
+                                      ("0.1", "2e-4"), ("3e-3", "1e-3")])
+def test_flow_accepts_whole_steps_despite_rounding(t_end, dt):
+    from reilly_lab.config import validate_flow
+    cfg = load_config(None, overrides={"flow.t_end": t_end, "flow.dt": dt})
+    spec = validate_flow(cfg)
+    assert spec["t_end"] == float(t_end) and spec["dt"] == float(dt)
+
+
+def test_verify_failure_lines_show_slack_and_tolerance(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--suite", "reilly", "--tol-scale", "1e-9",
+                    "--out", str(out)]) == 1
+    lines = sorted(ln for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("# FAIL "))
+    failed = [c for c in json.loads(out.read_text())["checks"]
+              if c["pass"] is False]
+    assert len(lines) == len(failed) == 4
+    for line, check in zip(lines, failed):
+        assert line == (f"# FAIL {check['name']} slack={check['slack']:.6g} "
+                        f"tolerance={check['tolerance']:.6g}")
+
+
+@pytest.mark.parametrize("values,bad", [
+    # 0.5 / 3e-3 is 166.67 steps: the flow would stop at 0.501 and be
+    # compared with the Minkowski sum at 0.5
+    ("2e-3,3e-3", "dt = 0.003"),
+    # 0.5 / 5e-324 overflows to infinitely many steps
+    ("5e-324", "dt = 5e-324"),
+])
+def test_sweep_flow_oracle_rejects_dt_off_the_step_grid(values, bad, capsys):
+    assert run_cli(["sweep", "--check", "flow-oracle", "--param", "dt",
+                    "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "t_end" in err, err
+    assert bad in err

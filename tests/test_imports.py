@@ -1,0 +1,41 @@
+"""The package and the flows load numpy only; scipy loads on first use.
+
+Each probe runs in a fresh interpreter, so modules imported by other tests
+cannot mask a module-level scipy import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))")
+
+
+def _scipy_modules_after(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{_SCIPY_MODULES}"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_cli_loads_no_scipy():
+    assert _scipy_modules_after("import reilly_lab.cli") == "[]"
+
+
+def test_flows_through_the_cli_load_no_scipy():
+    flows = [["--kind", "parallel-normal", "--body", "ellipse:1.3,1"],
+             ["--kind", "parallel-normal", "--body", "cap:0.5"],
+             ["--kind", "weingarten", "--body", "disk",
+              "--phi-coeffs", "1,0,0.2"]]
+    calls = "\n".join(
+        f"assert cli.main(['flow', *{args!r}, '--m', '32', '--t-end', "
+        f"'0.01', '--dt', '1e-3']) == 0" for args in flows)
+    assert _scipy_modules_after(f"import reilly_lab.cli as cli\n{calls}") \
+        == "[]"
