@@ -20,7 +20,7 @@ from .flows import (concavity_check, latitude_circle, parallel_normal_flow,
                     weingarten_wave)
 from .inequalities import check_lichnerowicz, sharpness_ratio
 from .models import build_gaussian_interval, build_model_density
-from .presets import body_from_spec, model_density_params
+from .presets import body_from_spec, gaussian_half_model, model_density_params
 from .reporting import emit_report, flow_csv, overall_pass, sweep_csv
 from .suites import _pnf_minkowski_oracle, run_suite_checks
 from .trig import TrigPolynomial
@@ -136,16 +136,19 @@ def _sweep_rows(spec: dict, cfg: SuiteConfig):
             theta = theta_from_config_n(raw if spec["param"] == "N"
                                         else spec["N"])
             n_pts = int(float(raw)) if spec["param"] == "n_pts" else spec["n_pts"]
-            rho = spec["rho"]
-            if theta.is_infinite_n:
+            rho, case = spec["rho"], spec["case"]
+            # Dirichlet needs the half interval [0, b]: its wall is mean-convex
+            if theta.is_infinite_n and case == "dirichlet":
+                model = gaussian_half_model(n_pts, sigma=1.0 / math.sqrt(rho))
+            elif theta.is_infinite_n:
                 model = build_gaussian_interval(1.0 / math.sqrt(rho), 6.0, n_pts)
             else:
                 nval = theta.n_value
                 params = model_density_params(
-                    rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None)
+                    rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None,
+                    variant=case)
                 model = build_model_density(params, n_pts)
-            rows.append([check_lichnerowicz(model, rho, theta,
-                                            case=spec["case"])])
+            rows.append([check_lichnerowicz(model, rho, theta, case=case)])
         else:  # flow-oracle: space-time refinement locked, m ~ 1/dt
             dt = float(raw)
             m = max(16, int(round(spec["m"] * (1e-3 / dt))))

@@ -30,7 +30,7 @@ from .checks import CheckReport, from_inequality, inequality_tolerance
 from .dimension import InverseDimension
 from .errors import CapOverflow, ConvexityViolation
 from .inequalities import TestFunction
-from .numerics import periodic_diff1, periodic_diff2
+from .numerics import periodic_diff1, periodic_diff2, spectral_diff
 from .operators import boundary_geometry, weighted_integral
 from .trig import TrigPolynomial
 
@@ -204,7 +204,8 @@ def _plane_geometry(points: np.ndarray, hy: float):
     pyy = periodic_diff2(points, hy)
     speed = np.hypot(py[:, 0], py[:, 1])
     tau = py / speed[:, None]
-    nu = np.stack([tau[:, 1], -tau[:, 0]], axis=1)   # outward for CCW curves
+    nu = np.empty_like(tau)                          # outward for CCW curves
+    nu[:, 0], nu[:, 1] = tau[:, 1], -tau[:, 0]
     kappa = (py[:, 0] * pyy[:, 1] - py[:, 1] * pyy[:, 0]) / speed**3
     return speed, tau, nu, kappa
 
@@ -216,10 +217,9 @@ def polyline_area(points: np.ndarray, hy: float) -> float:
     analytic curves the flows produce, matching the full-period trapezoid
     convention of the closed-curve quadrature.
     """
-    from .numerics import spectral_diff
-    xp = spectral_diff(points[:, 0], 1)
-    yp = spectral_diff(points[:, 1], 1)
-    return 0.5 * float(np.sum(points[:, 0] * yp - points[:, 1] * xp)) * hy
+    dp = spectral_diff(points, 1)
+    return 0.5 * float(np.sum(points[:, 0] * dp[:, 1]
+                              - points[:, 1] * dp[:, 0])) * hy
 
 
 def self_intersects(points: np.ndarray) -> bool:
@@ -312,12 +312,19 @@ def latitude_circle(polar_angle: float, m: int = 256) -> SphereCurve:
     return SphereCurve(points=pts, label=f"latitude({polar_angle:g})")
 
 
+def _norm3(v: np.ndarray) -> np.ndarray:
+    """Row norms of an (m, 3) array, bitwise as np.linalg.norm(v, axis=1)."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+
+
 def _sphere_geometry(x: np.ndarray, hy: float):
     xy = periodic_diff1(x, hy)
     xyy = periodic_diff2(x, hy)
-    speed = np.linalg.norm(xy, axis=1)
+    speed = _norm3(xy)
     tau = xy / speed[:, None]
-    nu = np.cross(tau, x)
+    (t0, t1, t2), (x0, x1, x2) = tau.T, x.T     # tau x X as np.cross forms it
+    nu = np.column_stack([t1 * x2 - t2 * x1, t2 * x0 - t0 * x2,
+                          t0 * x1 - t1 * x0])
     speed_y = periodic_diff1(speed, hy)
     xss = (xyy - speed_y[:, None] * tau) / speed[:, None] ** 2
     kappa_g = -np.einsum("ij,ij->i", xss, nu)
@@ -352,7 +359,7 @@ def sphere_enclosed_area(x: np.ndarray, hy: float):
 
 
 def _renorm(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1)[:, None]
+    return x / _norm3(x)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +393,8 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
                          g[3].copy(), alive=alive)
 
     steps = int(round(t_end / dt))
-    states = [FlowState(0.0, view(y)[0].copy(), phi0.copy(), g[2], g[3])]
+    states = [FlowState(0.0, view(y)[0].copy(), phi0.copy(), g[2].copy(),
+                        g[3].copy())]
     times, masses = [0.0], [mass(y, g)]
     alive, reason = True, None
     for k in range(steps):
@@ -488,7 +496,7 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
             diagnostics["area_estimator_gap"] = max(
                 diagnostics["area_estimator_gap"], abs(gb - band))
             moved = g[2] - _parallel_transport(g_prev[2], x_prev, x)
-            step_drift = float(np.max(np.linalg.norm(moved, axis=1)))
+            step_drift = float(np.max(_norm3(moved)))
         else:
             diagnostics["steps_run"] += 1
             step_drift = float(np.max(np.hypot(*(g[2] - g_prev[2]).T)))
@@ -507,6 +515,16 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
 
 # ---------------------------------------------------------------------------
 # Weingarten curvature wave
+
+
+def _wave_rhs(z: np.ndarray, g, hy: float) -> np.ndarray:
+    speed, _, nu, kappa = g
+    phi = np.exp(z[:, 2])
+    flux = periodic_diff1(phi, hy) / speed / kappa
+    dz = np.empty_like(z)
+    np.multiply(phi[:, None], nu, out=dz[:, :2])
+    dz[:, 2] = periodic_diff1(flux, hy) / speed
+    return dz
 
 
 def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
@@ -532,16 +550,9 @@ def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
         raise ValueError("initial speed must be positive")
     y = np.column_stack([body.points(), np.log(phi_vals)])   # F, log phi
     geometry = lambda z: _plane_geometry(z[:, :2], hy)
-
-    def rhs(z, g):
-        speed, _, nu, kappa = g
-        phi = np.exp(z[:, 2])
-        flux = periodic_diff1(phi, hy) / speed / kappa
-        return np.column_stack([phi[:, None] * nu,
-                                periodic_diff1(flux, hy) / speed])
-
     result, y = _rk4_flow(
-        y, geometry(y), geometry, rhs, lambda z: (z[:, :2], np.exp(z[:, 2])),
+        y, geometry(y), geometry, lambda z, g: _wave_rhs(z, g, hy),
+        lambda z: (z[:, :2], np.exp(z[:, 2])),
         lambda z, g: polyline_area(z[:, :2], hy), phi_vals, t_end, dt,
         snapshot_every, kappa_floor, theta, "positivity-loss")
     result.diagnostics["min_phi"] = float(np.exp(y[:, 2]).min())

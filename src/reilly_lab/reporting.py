@@ -128,17 +128,15 @@ def sweep_csv(param: str, values: List[str],
 
 def flow_csv(states) -> str:
     """Trajectory dump: t, marker index, coordinates, speed, curvature, normal."""
-    dim = states[0].points.shape[1]
-    if dim == 2:
-        header = "t,idx,x,y,phi,kappa,nux,nuy"
-    else:
-        header = "t,idx,x,y,z,phi,kappa,nux,nuy,nuz"
-    lines = [header]
+    lines = ["t,idx,x,y,phi,kappa,nux,nuy" if states[0].points.shape[1] == 2
+             else "t,idx,x,y,z,phi,kappa,nux,nuy,nuz"]
     for state in states:
-        cols = np.column_stack([state.points, state.phi, state.kappa,
-                                state.normals])
+        m = state.points.shape[0]
+        # the row index rides along as a float column: "%d" % 3.0 == "3"
+        cols = np.column_stack([np.arange(m, dtype=float), state.points,
+                                state.phi, state.kappa, state.normals])
         # "%.17g" % x is format(x, ".17g") for every Python float
         row = format(state.t, ".17g") + ",%d," + ",".join(
-            ["%.17g"] * cols.shape[1])
-        lines.extend(row % (i, *cells) for i, cells in enumerate(cols.tolist()))
+            ["%.17g"] * (cols.shape[1] - 1))
+        lines.append("\n".join([row] * m) % tuple(cols.ravel().tolist()))
     return "\n".join(lines) + "\n"

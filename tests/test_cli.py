@@ -482,6 +482,22 @@ def test_sweep_case_is_case_insensitive(check, param, values, tmp_path,
         assert "lichnerowicz-dirichlet:lhs" in captured.out
 
 
+@pytest.mark.parametrize("param,values", [("N", "inf,5,-2"),
+                                          ("n_pts", "201,2001")])
+def test_sweep_lichnerowicz_dirichlet_passes(param, values, tmp_path):
+    # Dirichlet runs on the half interval [0, b], whose wall is mean-convex
+    # for the weight; on the full interval the gap collapses to ~0
+    cfg = tmp_path / "dirichlet.cfg"
+    out = tmp_path / "dirichlet.csv"
+    cfg.write_text(f"[sweep]\ncheck = lichnerowicz\nparam = {param}\n"
+                   f"values = {values}\ncase = dirichlet\n")
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].startswith(f"{param},lichnerowicz-dirichlet:lhs")
+    assert [line.split(",")[-1] for line in lines[1:]] == \
+        ["true"] * len(values.split(","))
+
+
 def test_sweep_sharpness_rejects_dirichlet_at_negative_n(tmp_path, capsys):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(_HYPERBOLIC_SHARPNESS.format(param="n_pts", values="201")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reilly_lab import flows
+from reilly_lab import flows, numerics
 from reilly_lab.bodies import build_plane_body, build_sphere_cap
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import CapOverflow
@@ -16,8 +16,10 @@ from reilly_lab.flows import (ConcavitySeries, _crossing_sweep,
                               mixed_area, parallel_normal_flow, polyline_area,
                               quermassintegrals, self_intersects,
                               steiner_fit_residual, weingarten_wave)
+from reilly_lab.numerics import spectral_diff
 from reilly_lab.presets import (disk_body, ellipse_body, random_convex_bodies,
                                 wavy_body)
+from reilly_lab.reporting import flow_csv
 from reilly_lab.trig import TrigPolynomial
 
 TH2 = InverseDimension(0.5, 2)
@@ -433,3 +435,151 @@ def test_pnf_sphere_measure_loss_reported_not_raised():
     assert not res.states[-1].alive
     assert np.all(res.series.masses > 0.0)
     assert res.series.times[-1] < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the stage kernels against their reference forms
+#
+# The references are the plain numpy forms the kernels replaced.  Every
+# flow run through them must give the same bytes in every FlowResult
+# field and in the trajectory CSV.
+
+
+def _ref_wrap_pad(y):
+    return np.take(y, np.arange(-2, y.shape[0] + 2), axis=0, mode="wrap")
+
+
+def _ref_plane_geometry(points, hy):
+    py = flows.periodic_diff1(points, hy)
+    pyy = flows.periodic_diff2(points, hy)
+    speed = np.hypot(py[:, 0], py[:, 1])
+    tau = py / speed[:, None]
+    nu = np.stack([tau[:, 1], -tau[:, 0]], axis=1)
+    kappa = (py[:, 0] * pyy[:, 1] - py[:, 1] * pyy[:, 0]) / speed**3
+    return speed, tau, nu, kappa
+
+
+def _ref_sphere_geometry(x, hy):
+    xy = flows.periodic_diff1(x, hy)
+    xyy = flows.periodic_diff2(x, hy)
+    speed = np.linalg.norm(xy, axis=1)
+    tau = xy / speed[:, None]
+    nu = np.cross(tau, x)
+    speed_y = flows.periodic_diff1(speed, hy)
+    xss = (xyy - speed_y[:, None] * tau) / speed[:, None] ** 2
+    kappa_g = -np.einsum("ij,ij->i", xss, nu)
+    return speed, tau, nu, kappa_g, xy
+
+
+def _ref_polyline_area(points, hy):
+    xp = spectral_diff(points[:, 0], 1)
+    yp = spectral_diff(points[:, 1], 1)
+    return 0.5 * float(np.sum(points[:, 0] * yp - points[:, 1] * xp)) * hy
+
+
+def _ref_wave_rhs(z, g, hy):
+    speed, _, nu, kappa = g
+    phi = np.exp(z[:, 2])
+    flux = flows.periodic_diff1(phi, hy) / speed / kappa
+    return np.column_stack([phi[:, None] * nu,
+                            flows.periodic_diff1(flux, hy) / speed])
+
+
+def _ref_flow_csv(states):
+    dim = states[0].points.shape[1]
+    header = ("t,idx,x,y,phi,kappa,nux,nuy" if dim == 2
+              else "t,idx,x,y,z,phi,kappa,nux,nuy,nuz")
+    lines = [header]
+    for state in states:
+        cols = np.column_stack([state.points, state.phi, state.kappa,
+                                state.normals])
+        for i, cells in enumerate(cols.tolist()):
+            lines.append(",".join([format(state.t, ".17g"), str(i)]
+                                  + [format(c, ".17g") for c in cells]))
+    return "\n".join(lines) + "\n"
+
+
+_REFERENCE_KERNELS = {
+    (numerics, "_wrap_pad"): _ref_wrap_pad,
+    (flows, "_plane_geometry"): _ref_plane_geometry,
+    (flows, "_sphere_geometry"): _ref_sphere_geometry,
+    (flows, "polyline_area"): _ref_polyline_area,
+    (flows, "_wave_rhs"): _ref_wave_rhs,
+    (flows, "_norm3"): lambda v: np.linalg.norm(v, axis=1),
+}
+
+_COS2 = lambda c: TrigPolynomial((1.0, 0.0, c))  # noqa: E731
+
+# (run, expected death reason or None)
+_PINNED_RUNS = {
+    "plane-m64": (lambda: parallel_normal_flow(
+        disk_body(m=64), _COS2(0.12), 0.2, 2e-3), None),
+    "plane-m1024": (lambda: parallel_normal_flow(
+        ellipse_body(1.3, 1.0, m=1024), _COS2(0.1), 0.05, 1e-3), None),
+    "plane-curvature-floor": (lambda: parallel_normal_flow(
+        disk_body(m=64), _COS2(0.6), 1.5, 2e-3, snapshot_every=100),
+        "curvature-floor"),
+    "plane-intersect-every-1": (lambda: parallel_normal_flow(
+        disk_body(m=64), _COS2(0.12), 0.1, 2e-3, intersect_every=1), None),
+    "cap": (lambda: parallel_normal_flow(
+        latitude_circle(1.0, 64), _COS2(0.1), 0.2, 2e-3), None),
+    "cap-measure-loss": (lambda: parallel_normal_flow(
+        latitude_circle(0.5, 64), _COS2(0.5), 0.5, 2e-3), "measure-loss"),
+    "wave-disk": (lambda: weingarten_wave(
+        disk_body(m=64), _COS2(0.2), 0.02, 2e-4, snapshot_every=20), None),
+    "wave-ellipse-breakdown": (lambda: weingarten_wave(
+        ellipse_body(1.5, 1.0, m=128), _COS2(0.2), 0.1, 4e-3,
+        snapshot_every=5), "curvature-floor"),
+}
+
+
+def _result_fields(res):
+    """Every FlowResult field as bytes, keyed by field name."""
+    fields = {name: repr(getattr(res, name)).encode() for name in
+              ("alive", "death_reason", "normal_drift", "diagnostics")}
+    for i, s in enumerate(res.states):
+        fields[f"states[{i}].t,alive"] = repr((s.t, s.alive)).encode()
+        for name in ("points", "phi", "normals", "kappa"):
+            fields[f"states[{i}].{name}"] = getattr(s, name).tobytes()
+    if res.series is not None:
+        fields["series.times"] = res.series.times.tobytes()
+        fields["series.masses"] = res.series.masses.tobytes()
+    return fields
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_flow_kernels_match_reference_forms_bytewise(name):
+    run, death = _PINNED_RUNS[name]
+    res = run()
+    assert res.death_reason == death
+    with pytest.MonkeyPatch.context() as mp:
+        for (module, attr), ref in _REFERENCE_KERNELS.items():
+            mp.setattr(module, attr, ref)
+        ref_res = run()
+    got, want = _result_fields(res), _result_fields(ref_res)
+    assert list(got) == list(want)
+    for field in want:
+        assert got[field] == want[field], field
+    # line by line: a diff of the whole CSV text is slow to render
+    got_csv = flow_csv(res.states).split("\n")
+    want_csv = _ref_flow_csv(ref_res.states).split("\n")
+    assert len(got_csv) == len(want_csv)
+    for line, (got_line, want_line) in enumerate(zip(got_csv, want_csv)):
+        assert got_line == want_line, line
+
+
+@pytest.mark.parametrize("name", ["plane-m64", "cap", "wave-disk"])
+def test_first_state_owns_its_arrays(monkeypatch, name):
+    # the initial geometry feeds the first RK4 stage; the stored initial
+    # normals and curvature must not alias it
+    seen = []
+    for attr in ("_plane_geometry", "_sphere_geometry"):
+        def recorded(*args, _kernel=getattr(flows, attr)):
+            g = _kernel(*args)
+            seen.append(g)
+            return g
+        monkeypatch.setattr(flows, attr, recorded)
+    res = _PINNED_RUNS[name][0]()
+    first, g0 = res.states[0], seen[0]
+    for stored in (first.points, first.phi, first.normals, first.kappa):
+        assert not any(np.shares_memory(stored, a) for a in g0)

@@ -93,6 +93,35 @@ def test_spectral_diff_matches_matrix():
     np.testing.assert_allclose(spectral_diff(f, 1), d @ f, atol=1e-10)
 
 
+def _ref_spectral_diff(values, order):
+    # the 1-D formula as it stood before (m, k) inputs were accepted
+    values = np.asarray(values, dtype=float)
+    m = values.size
+    k = np.fft.rfftfreq(m, d=1.0 / m)
+    fk = np.fft.rfft(values)
+    if order % 2 == 1 and m % 2 == 0:
+        fk[-1] = 0.0
+    fk = fk * (1j * k) ** order
+    return np.fft.irfft(fk, n=m)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_diff_along_axis0_matches_columns(order):
+    rng = np.random.default_rng(order)
+    sizes = list(range(4, 34)) + [63, 64, 127, 128, 255, 256, 511, 512,
+                                  1000, 1023, 1024]
+    for m in sizes:
+        for cols in (2, 3):
+            y = rng.standard_normal((m, cols))
+            d = spectral_diff(y, order)
+            assert d.shape == (m, cols)
+            for j in range(cols):
+                column = spectral_diff(y[:, j], order)
+                assert np.array_equal(column, _ref_spectral_diff(y[:, j],
+                                                                 order)), m
+                assert np.array_equal(d[:, j], column), (m, cols, j)
+
+
 def test_simpson_exact_on_cubics_both_parities():
     for n in (21, 22):
         t = np.linspace(0.0, 2.0, n)
