@@ -114,22 +114,3 @@ def _with_order(report: CheckReport) -> CheckReport:
         return replace(report, order_estimate=est)
     return report
 
-
-def merge_grids(name: str, reports, params: Optional[dict] = None) -> CheckReport:
-    """Combine same-check reports at several resolutions into one record.
-
-    The finest grid provides lhs/rhs/residual/tolerance; the grid column
-    collects (resolution, residual-or-slack) pairs for order estimation.
-    """
-    reports = list(reports)
-    finest = reports[-1]
-    grids = tuple(
-        (r.params.get("n", i), abs(r.residual) if r.kind == "identity" else r.slack)
-        for i, r in enumerate(reports)
-    )
-    merged = CheckReport(
-        name=name, lhs=finest.lhs, rhs=finest.rhs, tolerance=finest.tolerance,
-        params=dict(params if params is not None else finest.params),
-        residual=finest.residual, kind=finest.kind, grids=grids,
-    )
-    return _with_order(merged)

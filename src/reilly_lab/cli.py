@@ -7,22 +7,18 @@ Exit codes: 0 all pass-required checks passed, 1 check failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
 from . import __version__
 from .bodies import ConvexPlaneBody, SphereCap
 from .config import SuiteConfig, load_config, validate_flow, validate_sweep
-from .dimension import theta_from_config_n
 from .errors import ConfigError, ReillyLabError
 from .flows import (concavity_check, latitude_circle, parallel_normal_flow,
                     weingarten_wave)
-from .inequalities import check_lichnerowicz, sharpness_ratio
-from .models import build_gaussian_interval, build_model_density
-from .presets import body_from_spec, gaussian_half_model, model_density_params
+from .presets import body_from_spec
 from .reporting import emit_report, flow_csv, overall_pass, sweep_csv
-from .suites import _pnf_minkowski_oracle, run_suite_checks
+from .suites import run_suite_checks
 from .trig import TrigPolynomial
 
 EXIT_OK = 0
@@ -87,18 +83,18 @@ def _write(path: Optional[str], text: str) -> None:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _config(args, **extra) -> SuiteConfig:
+    """load_config with the flags every command shares plus ``extra``."""
+    return load_config(args.config, overrides={
+        "seed": args.seed, "workers": args.workers,
+        "tol_scale": args.tol_scale, "out": args.out, **extra})
+
+
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config, overrides={
-        "suite": args.suite, "seed": args.seed, "workers": args.workers,
-        "tol_scale": args.tol_scale, "out": args.out,
-    })
+    cfg = _config(args, suite=args.suite)
     reports = run_suite_checks(cfg.suite, seed=cfg.seed, workers=cfg.workers,
                                tol_scale=cfg.tol_scale)
-    document = emit_report(reports, cfg.echo())
-    if cfg.out:
-        _write(cfg.out, document)
-    else:
-        sys.stdout.write(document)
+    _write(cfg.out or None, emit_report(reports, cfg.echo()))
     passed = sum(1 for r in reports if r.passed is True)
     failed = [r for r in reports if r.passed is False]
     diag = sum(1 for r in reports if r.passed is None)
@@ -110,68 +106,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if overall_pass(reports) else EXIT_CHECK_FAILURE
 
 
-def _sweep_rows(spec: dict, cfg: SuiteConfig):
-    check = spec["check"]
-    rows = []
-    for raw in spec["values"]:
-        if check == "sharpness":
-            value = float(raw)
-            kwargs = {"rho": spec["rho"],
-                      "n_value": float(spec["N"]),
-                      "variant": spec["case"]}
-            if spec["param"] == "beta_frac":
-                params = model_density_params(
-                    beta_frac=value, beta_trunc=spec["beta_trunc"], **kwargs)
-                n_pts = spec["n_pts"]
-            elif spec["param"] == "beta_trunc":
-                params = model_density_params(beta_trunc=value, **kwargs)
-                n_pts = spec["n_pts"]
-            else:  # n_pts
-                params = model_density_params(beta_trunc=spec["beta_trunc"],
-                                              **kwargs)
-                n_pts = int(value)
-            rows.append([sharpness_ratio(params, case=spec["case"],
-                                         n_pts=n_pts)])
-        elif check == "lichnerowicz":
-            theta = theta_from_config_n(raw if spec["param"] == "N"
-                                        else spec["N"])
-            n_pts = int(float(raw)) if spec["param"] == "n_pts" else spec["n_pts"]
-            rho, case = spec["rho"], spec["case"]
-            # Dirichlet needs the half interval [0, b]: its wall is mean-convex
-            if theta.is_infinite_n and case == "dirichlet":
-                model = gaussian_half_model(n_pts, sigma=1.0 / math.sqrt(rho))
-            elif theta.is_infinite_n:
-                model = build_gaussian_interval(1.0 / math.sqrt(rho), 6.0, n_pts)
-            else:
-                nval = theta.n_value
-                params = model_density_params(
-                    rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None,
-                    variant=case)
-                model = build_model_density(params, n_pts)
-            rows.append([check_lichnerowicz(model, rho, theta, case=case)])
-        else:  # flow-oracle: space-time refinement locked, m ~ 1/dt
-            dt = float(raw)
-            m = max(16, int(round(spec["m"] * (1e-3 / dt))))
-            m += m % 2
-            dist, _ = _pnf_minkowski_oracle(m, spec["t_end"], dt)
-            from .checks import from_identity
-            rows.append([from_identity("flow-vs-oracle", residual=dist,
-                                       tolerance=1e-4, lhs=dist, rhs=0.0,
-                                       params={"dt": dt, "m": m})])
-    return rows
-
-
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, overrides={
-        "seed": args.seed, "workers": args.workers,
-        "tol_scale": args.tol_scale, "out": args.out,
-        "sweep.check": args.check, "sweep.param": args.param,
-        "sweep.values": args.values,
-    })
+    cfg = _config(args, **{f"sweep.{key}": getattr(args, key)
+                           for key in ("check", "param", "values")})
     spec = validate_sweep(cfg)
-    rows = _sweep_rows(spec, cfg)
-    if cfg.tol_scale != 1.0:
-        rows = [[r.with_tol_scale(cfg.tol_scale) for r in row] for row in rows]
+    rows = [[row().with_tol_scale(cfg.tol_scale)] for row in spec["rows"]]
     text = sweep_csv(spec["param"], spec["values"], rows)
     _write(cfg.out, text)
     ok = all(r.gate() for row in rows for r in row)
@@ -179,13 +118,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    cfg = load_config(args.config, overrides={
-        "seed": args.seed, "workers": args.workers,
-        "tol_scale": args.tol_scale, "out": args.out,
-        "flow.kind": args.kind, "flow.body": args.body,
-        "flow.phi_coeffs": args.phi_coeffs,
-        "flow.t_end": args.t_end, "flow.dt": args.dt, "flow.m": args.m,
-    })
+    cfg = _config(args, **{f"flow.{key}": getattr(args, key)
+                           for key in ("kind", "body", "phi_coeffs", "t_end",
+                                       "dt", "m")})
     spec = validate_flow(cfg)
     phi = TrigPolynomial.from_flat(spec["phi_coeffs"])
     body = body_from_spec(spec["body"], m=spec["m"])
@@ -223,14 +158,9 @@ def _cmd_flow(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"verify": _cmd_verify, "sweep": _cmd_sweep, "flow": _cmd_flow}
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "flow":
-            return _cmd_flow(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

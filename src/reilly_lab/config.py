@@ -15,6 +15,10 @@ Unknown sections or keys are rejected with the offending name; every
 effective value, including defaults, is echoed into report output.
 N values are spelled as plain numbers with `0` meaning theta = -inf and
 `inf` meaning theta = 0.
+
+Validation parses each value once and returns what it parsed:
+`validate_sweep` returns the rows of the sweep, one zero-argument call
+per swept value, and `validate_flow` the typed flow parameters.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
 
-from .dimension import theta_from_config_n
+from .checks import CheckReport, from_identity
+from .dimension import InverseDimension, theta_from_config_n
 from .errors import ConfigError
+from .inequalities import check_lichnerowicz, sharpness_ratio
 from .models import build_model_density
-from .presets import model_density_params
-from .suites import SUITE_NAMES
+from .presets import gaussian_half_model, gaussian_model, model_density_params
+from .suites import SUITE_NAMES, _pnf_minkowski_oracle
 
 WORKERS_ENV = "REILLY_LAB_WORKERS"
 
@@ -118,7 +125,7 @@ def _to_step(value: str, key: str) -> float:
     return step
 
 
-def _check_whole_steps(t_end: float, dt: float) -> None:
+def _check_whole_steps(t_end: float, dt: float) -> float:
     """Flows run round(t_end / dt) steps: t_end must be reached exactly."""
     steps = t_end / dt
     if steps == math.inf:
@@ -128,14 +135,16 @@ def _check_whole_steps(t_end: float, dt: float) -> None:
         raise ConfigError(f"t_end = {t_end!r} is not a whole number of steps "
                           f"of dt = {dt!r}; the nearest reachable t_end is "
                           f"{round(steps) * dt!r}")
+    return dt
 
 
-def _check_n_pts(n_pts: float) -> None:
+def _check_n_pts(n_pts: float) -> int:
     if not (math.isfinite(n_pts) and int(n_pts) >= 16):
         raise ConfigError(f"n_pts must be at least 16, got {n_pts!r}")
+    return int(n_pts)
 
 
-def _check_lichnerowicz_n(value: str) -> None:
+def _check_lichnerowicz_n(value: str) -> InverseDimension:
     try:
         theta = theta_from_config_n(value)
     except ValueError as exc:
@@ -143,30 +152,63 @@ def _check_lichnerowicz_n(value: str) -> None:
     if theta.theta == 1.0:
         raise ConfigError("N = 1 leaves the Lichnerowicz factor rho/(N-1) "
                           "undefined")
+    return theta
 
 
-def _check_sharpness_model(rho: float, n_value: float, beta_frac: float,
-                           beta_trunc, n_pts: int) -> None:
-    """Build the sharpness density R^(N-1), truncated at beta_frac times
-    its positivity endpoint or, when hyperbolic, at beta_trunc; a
-    truncation it refuses (outside the positivity domain, a density or a
-    grid spacing outside the double range) is an error naming the key."""
+def _sharpness_row(rho: float, n_value: float, case: str, beta_frac: float,
+                   beta_trunc, n_pts: int) -> Callable[[], CheckReport]:
+    """The row of one sharpness value.  The density R^(N-1), truncated at
+    beta_frac times its positivity endpoint or, when hyperbolic, at
+    beta_trunc, must build: a truncation it refuses (outside the positivity
+    domain, a density or a grid spacing outside the double range) is an
+    error naming the key."""
     key, value = (("beta_frac", beta_frac) if beta_trunc is None
                   else ("beta_trunc", beta_trunc))
     try:
-        build_model_density(model_density_params(
-            rho, n_value, beta_frac=beta_frac, beta_trunc=beta_trunc), n_pts)
+        params = model_density_params(rho, n_value, beta_frac=beta_frac,
+                                      beta_trunc=beta_trunc, variant=case)
+        build_model_density(params, n_pts)
     except ValueError as exc:
         raise ConfigError(f"{key} = {value!r} at N = {n_value!r}: "
                           f"{exc}") from exc
+    return lambda: sharpness_ratio(params, case=case, n_pts=n_pts)
+
+
+def _lichnerowicz(theta: InverseDimension, n_pts: int, rho: float,
+                  case: str) -> CheckReport:
+    """One Lichnerowicz row.  At N = inf the weight is the Gaussian of
+    variance 1/rho on six standard deviations; Dirichlet takes the half
+    interval [0, b], whose wall is mean-convex for the weight."""
+    if theta.is_infinite_n:
+        sigma = 1.0 / math.sqrt(rho)
+        model = (gaussian_half_model if case == "dirichlet"
+                 else gaussian_model)(n_pts, sigma, 6.0 * sigma)
+    else:
+        nval = theta.n_value
+        model = build_model_density(model_density_params(
+            rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None,
+            variant=case), n_pts)
+    return check_lichnerowicz(model, rho, theta, case=case)
+
+
+def _flow_oracle(dt: float, m: int, t_end: float) -> CheckReport:
+    """One flow-oracle row, space-time refinement locked: m ~ 1/dt."""
+    m = max(16, int(round(m * (1e-3 / dt))))
+    m += m % 2
+    dist, _ = _pnf_minkowski_oracle(m, t_end, dt)
+    return from_identity("flow-vs-oracle", residual=dist, tolerance=1e-4,
+                         lhs=dist, rhs=0.0, params={"dt": dt, "m": m})
+
+
+# [suite] keys in parse order with their parsers (None keeps the text)
+_SUITE_KEYS = {"suite": None, "seed": _to_int, "workers": _to_int,
+               "tol_scale": _to_float, "out": None}
 
 
 def load_config(path: Optional[str] = None,
                 overrides: Optional[dict] = None) -> SuiteConfig:
-    """Assemble the effective config: file, then CLI overrides, then env.
-
-    The worker default honors the REILLY_LAB_WORKERS environment variable.
-    """
+    """Assemble the effective config: env (REILLY_LAB_WORKERS only), then
+    file, then CLI overrides, each layer overriding the one before."""
     cfg = SuiteConfig()
     env_workers = os.environ.get(WORKERS_ENV)
     if env_workers is not None:
@@ -178,38 +220,23 @@ def load_config(path: Optional[str] = None,
                 sections = parse_config_text(handle.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    suite_section = sections.get("suite", {})
-    if "name" in suite_section:
-        cfg.suite = suite_section["name"]
-    if "seed" in suite_section:
-        cfg.seed = _to_int(suite_section["seed"], "seed")
-    if "workers" in suite_section:
-        cfg.workers = _to_int(suite_section["workers"], "workers")
-    if "tol_scale" in suite_section:
-        cfg.tol_scale = _to_float(suite_section["tol_scale"], "tol_scale")
-    if "out" in suite_section:
-        cfg.out = suite_section["out"]
     cfg.sweep = dict(sections.get("sweep", {}))
     cfg.flow = dict(sections.get("flow", {}))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "suite":
-            cfg.suite = value
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key == "workers":
-            cfg.workers = int(value)
-        elif key == "tol_scale":
-            cfg.tol_scale = float(value)
-        elif key == "out":
-            cfg.out = value
-        elif key.startswith("sweep."):
-            cfg.sweep[key.split(".", 1)[1]] = str(value)
-        elif key.startswith("flow."):
-            cfg.flow[key.split(".", 1)[1]] = str(value)
-        else:
+    file_suite = {("suite" if key == "name" else key): value
+                  for key, value in sections.get("suite", {}).items()}
+    given = {key: value for key, value in (overrides or {}).items()
+             if value is not None}
+    # a malformed file entry is an error even where a flag overrides it
+    for key, parse in _SUITE_KEYS.items():
+        for value in (file_suite.get(key), given.pop(key, None)):
+            if value is not None:
+                setattr(cfg, key, value if parse is None
+                        else parse(value, key))
+    for key, value in given.items():
+        section, _, name = key.partition(".")
+        if section not in ("sweep", "flow") or not name:
             raise ConfigError(f"unknown override {key!r}")
+        getattr(cfg, section)[name] = str(value)
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; expected one of "
                           f"{', '.join(SUITE_NAMES)}")
@@ -225,7 +252,8 @@ def load_config(path: Optional[str] = None,
 
 
 def validate_sweep(cfg: SuiteConfig) -> dict:
-    """Parse and validate the [sweep] section into typed fields."""
+    """Parse and validate the [sweep] section, each value once, into
+    ``rows``: one zero-argument call per swept value returning its report."""
     sweep = cfg.sweep
     if "check" not in sweep:
         raise ConfigError("sweep requires a 'check' key")
@@ -247,17 +275,17 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
         raise ConfigError("sweep values must be a non-empty comma list")
     t_end = _to_step(sweep.get("t_end", "0.5"), "t_end")
     if check == "flow-oracle":
-        for raw in raw_values:
-            _check_whole_steps(t_end, _to_step(raw, "dt"))
+        values = [_check_whole_steps(t_end, _to_step(raw, "dt"))
+                  for raw in raw_values]
     n_pts = _to_int(sweep.get("n_pts", "4001"), "n_pts")
     if param == "n_pts":
-        for value in raw_values:
-            _check_n_pts(_to_float(value, "n_pts"))
+        values = [_check_n_pts(_to_float(raw, "n_pts")) for raw in raw_values]
     elif check != "flow-oracle":
         _check_n_pts(n_pts)
-    if check == "lichnerowicz":
-        for value in raw_values if param == "N" else [sweep.get("N", "5")]:
-            _check_lichnerowicz_n(value)
+    if check == "lichnerowicz" and param == "N":
+        values = [_check_lichnerowicz_n(raw) for raw in raw_values]
+    elif check == "lichnerowicz":
+        theta = _check_lichnerowicz_n(sweep.get("N", "5"))
     case = sweep.get("case", "neumann").lower()
     if case not in ("neumann", "dirichlet"):
         raise ConfigError(f"case must be neumann or dirichlet, got "
@@ -278,43 +306,34 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
             raise ConfigError("case = dirichlet needs N > 1 for sharpness: "
                               "for N < 0 the extremal function does not "
                               "vanish at infinity")
-        hyperbolic = rho / (n_value - 1.0) < 0.0
         if param == "beta_trunc":
-            truncs = [_to_step(raw, "beta_trunc") for raw in raw_values]
-        else:
-            truncs = [beta_trunc]
-        if not hyperbolic and truncs != [None]:
+            values = [_to_step(raw, "beta_trunc") for raw in raw_values]
+        truncated = param == "beta_trunc" or beta_trunc is not None
+        hyperbolic = rho / (n_value - 1.0) < 0.0
+        if truncated and not hyperbolic:
             raise ConfigError("beta_trunc applies only to hyperbolic sharpness "
                               "densities (rho/(N-1) < 0); this one truncates "
                               "at beta_frac times its positivity endpoint")
-        if hyperbolic and truncs == [None]:
+        if hyperbolic and not truncated:
             raise ConfigError("a hyperbolic sharpness sweep "
                               "(rho/(N-1) < 0) needs beta_trunc")
-        fracs = [0.999]
         if param == "beta_frac":
-            fracs = [_to_float(raw, "beta_frac") for raw in raw_values]
-            if not all(0.0 < frac < 1.0 for frac in fracs):
+            values = [_to_float(raw, "beta_frac") for raw in raw_values]
+            if not all(0.0 < frac < 1.0 for frac in values):
                 raise ConfigError(f"beta_frac values must lie in (0, 1), "
                                   f"got {sweep['values']!r}")
-        sizes = ([int(_to_float(raw, "n_pts")) for raw in raw_values]
-                 if param == "n_pts" else [n_pts])
-        for frac in fracs:
-            for trunc in truncs:
-                for size in sizes:
-                    _check_sharpness_model(rho, n_value, frac, trunc, size)
-    out = {
-        "check": check,
-        "param": param,
-        "values": raw_values,
-        "rho": rho,
-        "N": sweep.get("N", "5"),
-        "beta_trunc": beta_trunc,
-        "case": case,
-        "n_pts": n_pts,
-        "m": _to_int(sweep.get("m", "256"), "m"),
-        "t_end": t_end,
-    }
-    return out
+        fixed = {"beta_frac": 0.999, "beta_trunc": beta_trunc, "n_pts": n_pts}
+        rows = [_sharpness_row(rho, n_value, case, **{**fixed, param: value})
+                for value in values]
+    m = _to_int(sweep.get("m", "256"), "m")
+    if check == "lichnerowicz":
+        rows = [partial(_lichnerowicz, value, n_pts, rho, case) if param == "N"
+                else partial(_lichnerowicz, theta, value, rho, case)
+                for value in values]
+    elif check == "flow-oracle":
+        rows = [partial(_flow_oracle, dt, m, t_end) for dt in values]
+    return {"check": check, "param": param, "values": raw_values,
+            "rows": rows}
 
 
 def validate_flow(cfg: SuiteConfig) -> dict:

@@ -103,13 +103,6 @@ class InverseDimension:
         n = 1.0 / self.theta
         return n * mass ** self.theta
 
-    def describe(self) -> str:
-        if self.theta == 0.0:
-            return "N=inf"
-        if math.isinf(self.theta):
-            return "N=0"
-        return f"N={self.n_value:g}"
-
 
 def theta_from_config_n(text: str, n_ambient: int = 1) -> InverseDimension:
     """Parse the config spelling of N: '0' -> theta = -inf, 'inf' -> theta = 0."""

@@ -42,9 +42,5 @@ class CapOverflow(ReillyLabError):
     """Spherical cap extension would reach or pass the antipode."""
 
 
-class PositivityLoss(ReillyLabError):
-    """Flow speed lost positivity where the scheme requires phi > 0."""
-
-
 class ConfigError(ReillyLabError):
     """Malformed or unknown configuration input."""

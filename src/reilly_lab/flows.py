@@ -348,16 +348,6 @@ def _sphere_areas(x: np.ndarray, g, hy: float):
     return gb, band
 
 
-def sphere_enclosed_area(x: np.ndarray, hy: float):
-    """(Gauss-Bonnet, azimuthal-band) estimates of the enclosed area.
-
-    Gauss-Bonnet: 2 pi - contour integral of kappa_g ds.  Band form:
-    contour integral of (1 - z) dphi_azimuthal, valid for curves winding
-    once around the pole of the enclosed region.
-    """
-    return _sphere_areas(x, _sphere_geometry(x, hy), hy)
-
-
 def _renorm(x: np.ndarray) -> np.ndarray:
     return x / _norm3(x)[:, None]
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .checks import (CheckReport, from_identity, from_inequality,
-                     identity_tolerance, inequality_tolerance, merge_grids)
+                     identity_tolerance, inequality_tolerance)
 from .dimension import InverseDimension
 from .errors import NonRadialInput
 from .models import IntervalModel, RadialBall
@@ -192,10 +192,10 @@ def reilly_convergence(build, u_of_x, resolutions, variant: str = "full",
     grids = tuple(
         (r.params["n"], abs(r.params["relative_residual"])) for r in reports
     )
-    base = merge_grids(name, reports)
+    finest = reports[-1]
     return from_identity(
-        name, residual=base.residual, tolerance=base.tolerance,
-        lhs=base.lhs, rhs=base.rhs,
-        params={**reports[-1].params, "resolutions": list(resolutions)},
+        name, residual=finest.residual, tolerance=finest.tolerance,
+        lhs=finest.lhs, rhs=finest.rhs,
+        params={**finest.params, "resolutions": list(resolutions)},
         grids=grids,
     )

@@ -550,3 +550,51 @@ def test_sweep_flow_oracle_rejects_dt_off_the_step_grid(values, bad, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "t_end" in err, err
     assert bad in err
+
+
+@pytest.mark.parametrize("case", ["neumann", "dirichlet"])
+def test_sweep_lichnerowicz_gaussian_scales_with_rho(case, tmp_path, capsys):
+    # at N = inf the Gaussian of variance 1/rho runs on six standard
+    # deviations; on a fixed [-6, 6] exp(-V) underflows at rho = 100
+    cfg = tmp_path / "rho.cfg"
+    cfg.write_text("[sweep]\ncheck = lichnerowicz\nparam = n_pts\n"
+                   f"values = 2001\nN = inf\nrho = 100\ncase = {case}\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    row = captured.out.strip().splitlines()[1].split(",")
+    assert float(row[1]) == 100.0
+
+
+@pytest.mark.parametrize("check,param,values", [
+    ("sharpness", "n_pts", "201"),
+    ("lichnerowicz", "n_pts", "201"),
+    ("flow-oracle", "dt", "4e-3"),
+])
+@pytest.mark.parametrize("key", ["m", "t_end"])
+def test_sweep_refuses_malformed_m_and_t_end_on_every_check(
+        check, param, values, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[sweep]\ncheck = {check}\nparam = {param}\n"
+                   f"values = {values}\n{key} = abc\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, f"{key} must be")
+
+
+def test_suite_settings_precedence_env_file_flag(tmp_path, capsys,
+                                                  monkeypatch):
+    def echo(*flags, config=None):
+        argv = ["flow", "--m", "32", "--t-end", "0.02", "--dt", "0.01",
+                *flags]
+        if config is not None:
+            argv += ["--config", str(config)]
+        assert run_cli(argv) == 0
+        return json.loads(capsys.readouterr().out)["config_echo"]
+
+    monkeypatch.setenv("REILLY_LAB_WORKERS", "2")
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("[suite]\nworkers = 3\nseed = 7\n")
+    assert [echo()[k] for k in ("workers", "seed")] == [2, 1234]
+    assert [echo(config=cfg)[k] for k in ("workers", "seed")] == [3, 7]
+    assert [echo("--workers", "4", "--seed", "9", config=cfg)[k]
+            for k in ("workers", "seed")] == [4, 9]

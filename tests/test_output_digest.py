@@ -1,5 +1,6 @@
 """Smoke test of tools/output_digest.py, the byte-identity digest."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +30,26 @@ def test_output_digest_is_repeatable_on_the_flows_suite():
     assert len(flow_lines) == 8 * 7           # 8 runs, 7 fields each
     assert all(kind == "flow" and len(sha) == 64
                for kind, _, _, sha in flow_lines)
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_lines_cover_every_sweep_check_and_flow_kind():
+    from reilly_lab.config import _SWEEP_CHECKS
+    tool = _load_tool()
+    lines = list(tool.cli_digests())
+    assert list(tool.cli_digests()) == lines
+    swept = {tuple(args[:2]) for _, args, _ in tool.SWEEP_RUNS}
+    assert swept == {(check, param) for check, params in _SWEEP_CHECKS.items()
+                     for param in params}
+    exits = {name: field for kind, name, field, _ in map(str.split, lines)
+             if field.startswith("exit=")}
+    assert exits == {name: "exit=2" if name.startswith("error-") else "exit=0"
+                     for name, *_ in tool.SWEEP_RUNS + tool.CLI_FLOW_RUNS}
+    assert sum(line.startswith("cli-flow ") and " csv " in line
+               for line in lines) == len(tool.CLI_FLOW_RUNS)

@@ -12,7 +12,13 @@ The lines are:
 * ``flow <run> <field> <sha>``: each ``FlowResult`` field of a fixed list
   of small library flow runs, including their known deaths, plus the
   trajectory CSV that ``reporting.flow_csv`` writes from the states.
-  Arrays are digested through their raw bytes, scalars through ``repr``.
+  Arrays are digested through their raw bytes, scalars through ``repr``;
+* with ``--suite all`` (the default) also the command line's own bytes:
+  ``sweep <run> exit=<code> <sha>`` for the stdout and stderr of small
+  ``reilly-lab sweep`` runs (every check and swept parameter, both cases,
+  N = inf, and two configuration errors), and ``cli-flow <run>
+  exit=<code> <sha>`` plus ``cli-flow <run> csv <sha>`` for the report
+  and trajectory CSV of one ``reilly-lab flow`` run of each kind.
 
 A change meant to keep every output byte-identical runs this on the
 parent tree and on the change and compares the two with ``diff``.
@@ -27,6 +33,7 @@ import io
 import os
 import sys
 import tempfile
+import warnings
 
 from reilly_lab import cli, flows
 from reilly_lab.presets import disk_body, ellipse_body
@@ -54,6 +61,40 @@ FLOW_RUNS = (
     ("wave-ellipse-breakdown", lambda: flows.weingarten_wave(
         ellipse_body(1.5, 1.0, m=128), _COS2(0.2), 0.1, 4e-3,
         snapshot_every=5)),
+)
+
+
+# name -> (sweep arguments, [sweep] lines of its config file)
+SWEEP_RUNS = (
+    ("sharpness-beta_frac", ["sharpness", "beta_frac", "0.9,0.99"], ""),
+    ("sharpness-beta_frac-dirichlet", ["sharpness", "beta_frac", "0.9,0.99"],
+     "case = dirichlet\n"),
+    ("sharpness-beta_trunc", ["sharpness", "beta_trunc", "8,12"], "N = -2\n"),
+    ("sharpness-n_pts", ["sharpness", "n_pts", "201,401"], ""),
+    ("sharpness-n_pts-dirichlet", ["sharpness", "n_pts", "201,401"],
+     "case = dirichlet\nN = 3\nrho = 2\n"),
+    ("lichnerowicz-N", ["lichnerowicz", "N", "-2,20,inf"], "n_pts = 401\n"),
+    ("lichnerowicz-N-dirichlet", ["lichnerowicz", "N", "inf,5,-2"],
+     "n_pts = 401\ncase = dirichlet\n"),
+    ("lichnerowicz-n_pts", ["lichnerowicz", "n_pts", "201,401"], ""),
+    ("lichnerowicz-n_pts-dirichlet", ["lichnerowicz", "n_pts", "201,401"],
+     "case = dirichlet\n"),
+    ("lichnerowicz-n_pts-inf", ["lichnerowicz", "n_pts", "201,401"],
+     "N = inf\nrho = 1\n"),
+    ("flow-oracle-dt", ["flow-oracle", "dt", "4e-3,2e-3"], "t_end = 0.2\n"),
+    ("error-m", ["lichnerowicz", "n_pts", "201"], "m = abc\n"),
+    ("error-dirichlet-hyperbolic", ["sharpness", "n_pts", "201"],
+     "N = -2\nbeta_trunc = 12\ncase = dirichlet\n"),
+)
+
+# name -> flow arguments; the trajectory goes to trajectory.csv
+CLI_FLOW_RUNS = (
+    ("pnf-ellipse", ["--kind", "parallel-normal", "--body", "ellipse:1.2,1",
+                     "--phi-coeffs", "1,0,0.1", "--t-end", "0.1",
+                     "--dt", "2e-3", "--m", "64"]),
+    ("wave-disk", ["--kind", "weingarten", "--body", "disk",
+                   "--phi-coeffs", "1,0,0.2", "--t-end", "0.02",
+                   "--dt", "2e-4", "--m", "64"]),
 )
 
 
@@ -90,10 +131,41 @@ def flow_digests(result):
     yield "csv", _sha(flow_csv(result.states).encode())
 
 
+def _run_cli(argv):
+    """(exit code, SHA-256 of stdout and stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # a warning's text carries the source path of the tree under test
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    return code, _sha(f"{out.getvalue()}\0{err.getvalue()}".encode())
+
+
+def cli_digests():
+    """Lines for the sweep and flow runs of the command line.  They run in
+    a scratch directory so that the relative paths echoed in the reports
+    are the same on every tree."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, (check, param, values), text in SWEEP_RUNS:
+            with open("sweep.cfg", "w", encoding="utf-8") as handle:
+                handle.write("[sweep]\n" + text)
+            code, digest = _run_cli(["sweep", "--check", check, "--param",
+                                     param, f"--values={values}",
+                                     "--config", "sweep.cfg"])
+            yield f"sweep {name} exit={code} {digest}"
+        for name, argv in CLI_FLOW_RUNS:
+            code, digest = _run_cli(["flow", *argv, "--out", "trajectory.csv"])
+            yield f"cli-flow {name} exit={code} {digest}"
+            with open("trajectory.csv", "rb") as handle:
+                yield f"cli-flow {name} csv {_sha(handle.read())}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", default="all",
-                        help="verify suite whose checks are digested")
+                        help="verify suite whose checks are digested; "
+                             "all also digests sweep and flow commands")
     parser.add_argument("--seeds", default="1234,0",
                         help="comma-separated verify seeds")
     args = parser.parse_args(argv)
@@ -103,6 +175,9 @@ def main(argv=None) -> int:
     for run_name, run in FLOW_RUNS:
         for field, digest in flow_digests(run()):
             print(f"flow {run_name} {field} {digest}")
+    if args.suite == "all":
+        for line in cli_digests():
+            print(line)
     return 0
 
 
