@@ -9,14 +9,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvexityViolation
-from .numerics import diff1, diff2, simpson_uniform, spectral_diff
+from .numerics import _freeze, diff1, diff2, simpson_uniform, spectral_diff
 from .trig import TrigPolynomial
-
-
-def _freeze(arr) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -295,15 +289,19 @@ def _arclength_reparametrize(
     return s, np.asarray(x(tt), dtype=float), np.asarray(y(tt), dtype=float)
 
 
-def build_sphere_body(radius: float = 1.0, n_cells: int = 1024) -> RevolutionBody3D:
-    """Round sphere profile (R sin(s/R), R cos(s/R)), s in [0, pi R]."""
-    s = np.linspace(0.0, math.pi * radius, n_cells + 1)
-    r = radius * np.sin(s / radius)
-    z = radius * np.cos(s / radius)
+def _closed(s, r, z, label: str) -> RevolutionBody3D:
+    """Revolution body of a profile whose r is pinned to 0 at both poles."""
     r = r.copy()
     r[0] = 0.0
     r[-1] = 0.0
-    return RevolutionBody3D(s=s, r=r, z=z, label=f"sphere(R={radius:g})")
+    return RevolutionBody3D(s=s, r=r, z=z, label=label)
+
+
+def build_sphere_body(radius: float = 1.0, n_cells: int = 1024) -> RevolutionBody3D:
+    """Round sphere profile (R sin(s/R), R cos(s/R)), s in [0, pi R]."""
+    s = np.linspace(0.0, math.pi * radius, n_cells + 1)
+    return _closed(s, radius * np.sin(s / radius), radius * np.cos(s / radius),
+                   f"sphere(R={radius:g})")
 
 
 def build_spheroid_body(a: float, c: float, n_cells: int = 1024) -> RevolutionBody3D:
@@ -320,10 +318,7 @@ def build_spheroid_body(a: float, c: float, n_cells: int = 1024) -> RevolutionBo
             a * a * np.cos(tau) ** 2 + c * c * np.sin(tau) ** 2
         ),
     )
-    r = r.copy()
-    r[0] = 0.0
-    r[-1] = 0.0
-    return RevolutionBody3D(s=s, r=r, z=z, label=f"spheroid(a={a:g},c={c:g})")
+    return _closed(s, r, z, f"spheroid(a={a:g},c={c:g})")
 
 
 def build_revolution_body(profile_spec, n_cells: int = 1024) -> RevolutionBody3D:
@@ -336,11 +331,8 @@ def build_revolution_body(profile_spec, n_cells: int = 1024) -> RevolutionBody3D
             return build_spheroid_body(*profile_spec[1:], n_cells=n_cells)
         if len(profile_spec) == 4 and callable(profile_spec[0]):
             x, y, t0, t1 = profile_spec
-            s, r, z = _arclength_reparametrize(x, y, t0, t1, n_cells)
-            r = r.copy()
-            r[0] = 0.0
-            r[-1] = 0.0
-            return RevolutionBody3D(s=s, r=r, z=z, label="revolution")
+            return _closed(*_arclength_reparametrize(x, y, t0, t1, n_cells),
+                           "revolution")
     raise ValueError(f"unrecognized profile spec: {profile_spec!r}")
 
 

@@ -20,10 +20,6 @@ from .numerics import observed_orders
 SPECTRAL_SLACK_FLOOR = 1e-8
 
 
-def identity_tolerance(h: float, scale: float = 1.0) -> float:
-    return 10.0 * h * h * max(1.0, abs(scale))
-
-
 def inequality_tolerance(scale: float = 1.0, h: Optional[float] = None) -> float:
     """Slack floor: spectral grids when h is None, else 10 h^2."""
     if h is None:

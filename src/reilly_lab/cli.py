@@ -110,11 +110,9 @@ def _cmd_sweep(args) -> int:
     cfg = _config(args, **{f"sweep.{key}": getattr(args, key)
                            for key in ("check", "param", "values")})
     spec = validate_sweep(cfg)
-    rows = [[row().with_tol_scale(cfg.tol_scale)] for row in spec["rows"]]
-    text = sweep_csv(spec["param"], spec["values"], rows)
-    _write(cfg.out, text)
-    ok = all(r.gate() for row in rows for r in row)
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    reports = [row().with_tol_scale(cfg.tol_scale) for row in spec["rows"]]
+    _write(cfg.out, sweep_csv(spec["param"], spec["values"], reports))
+    return EXIT_OK if all(r.gate() for r in reports) else EXIT_CHECK_FAILURE
 
 
 def _cmd_flow(args) -> int:
@@ -132,9 +130,6 @@ def _cmd_flow(args) -> int:
     else:
         if isinstance(body, SphereCap):
             body = latitude_circle(body.r_cap, m=spec["m"])
-        elif not isinstance(body, ConvexPlaneBody):
-            raise ConfigError(
-                "the parallel normal flow runs on plane bodies or caps")
         result = parallel_normal_flow(body, phi, spec["t_end"], spec["dt"],
                                       snapshot_every=spec["snapshot_every"])
     reports = []

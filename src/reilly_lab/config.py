@@ -31,7 +31,7 @@ from typing import Callable, Dict, Optional
 
 from .checks import CheckReport, from_identity
 from .dimension import InverseDimension, theta_from_config_n
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceFailure, CurvatureNotPositive
 from .inequalities import check_lichnerowicz, sharpness_ratio
 from .models import build_model_density
 from .presets import gaussian_half_model, gaussian_model, model_density_params
@@ -152,6 +152,8 @@ def _check_lichnerowicz_n(value: str) -> InverseDimension:
     if theta.theta == 1.0:
         raise ConfigError("N = 1 leaves the Lichnerowicz factor rho/(N-1) "
                           "undefined")
+    if theta.is_zero_n:
+        raise ConfigError("N = 0 has no Lichnerowicz model density")
     return theta
 
 
@@ -178,17 +180,23 @@ def _lichnerowicz(theta: InverseDimension, n_pts: int, rho: float,
                   case: str) -> CheckReport:
     """One Lichnerowicz row.  At N = inf the weight is the Gaussian of
     variance 1/rho on six standard deviations; Dirichlet takes the half
-    interval [0, b], whose wall is mean-convex for the weight."""
-    if theta.is_infinite_n:
-        sigma = 1.0 / math.sqrt(rho)
-        model = (gaussian_half_model if case == "dirichlet"
-                 else gaussian_model)(n_pts, sigma, 6.0 * sigma)
-    else:
-        nval = theta.n_value
-        model = build_model_density(model_density_params(
-            rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None,
-            variant=case), n_pts)
-    return check_lichnerowicz(model, rho, theta, case=case)
+    interval [0, b], whose wall is mean-convex for the weight.  A (rho, N)
+    whose density, operator or CD(rho, N) bound the grid cannot resolve in
+    double precision is an error naming both."""
+    nval = theta.n_value
+    try:
+        if theta.is_infinite_n:
+            sigma = 1.0 / math.sqrt(rho)
+            model = (gaussian_half_model if case == "dirichlet"
+                     else gaussian_model)(n_pts, sigma, 6.0 * sigma)
+        else:
+            model = build_model_density(model_density_params(
+                rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None,
+                variant=case), n_pts)
+        return check_lichnerowicz(model, rho, theta, case=case)
+    except (ValueError, ConvergenceFailure, CurvatureNotPositive) as exc:
+        raise ConfigError(f"rho = {rho!r} at N = {nval!r} on {n_pts} points: "
+                          f"{exc}") from exc
 
 
 def _flow_oracle(dt: float, m: int, t_end: float) -> CheckReport:
@@ -327,6 +335,9 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
                 for value in values]
     m = _to_int(sweep.get("m", "256"), "m")
     if check == "lichnerowicz":
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ConfigError(f"lichnerowicz needs a finite rho > 0, got "
+                              f"rho = {rho!r}")
         rows = [partial(_lichnerowicz, value, n_pts, rho, case) if param == "N"
                 else partial(_lichnerowicz, theta, value, rho, case)
                 for value in values]

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import ConvexPlaneBody, SphereCap, plane_body_from_samples
+from .bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
+                     build_plane_body, plane_body_from_samples)
 from .checks import CheckReport, from_inequality, inequality_tolerance
 from .dimension import InverseDimension
 from .errors import CapOverflow, ConvexityViolation
@@ -131,7 +132,6 @@ def minkowski_sum_support(K: ConvexPlaneBody, L: ConvexPlaneBody,
         raise ValueError("Minkowski scaling requires t >= 0")
     if K.support is not None and L.support is not None:
         poly = K.support + L.support.scaled(t)
-        from .bodies import build_plane_body
         return build_plane_body(poly, m=max(K.m, L.m),
                                 label=f"{K.label}+{t:g}*{L.label}")
     if K.m != L.m:
@@ -171,18 +171,15 @@ def quermassintegrals(body, theta: InverseDimension):
     delta1^2 >= N/(N-1) delta0 delta2, which at N = n = 2 is exactly the
     planar isoperimetric inequality P^2 >= 4 pi A.
     """
-    from .bodies import RevolutionBody3D
     geom = boundary_geometry(body)
     if isinstance(body, ConvexPlaneBody):
-        d0 = body.mass()
         d1 = body.perimeter()
-        d2 = weighted_integral(geom.H_mu, body)
     elif isinstance(body, RevolutionBody3D):
-        d0 = body.mass()
         d1 = body.surface_area()
-        d2 = weighted_integral(geom.H_mu, body)
     else:
         raise TypeError(type(body).__name__)
+    d0 = body.mass()
+    d2 = weighted_integral(geom.H_mu, body)
     triple = QuermassTriple(delta0=d0, delta1=d1, delta2=d2, theta=theta)
     lhs = theta.n_over_n_minus_1 * d0 * d2
     rhs = d1 * d1
@@ -261,11 +258,7 @@ def _crossing_sweep(points: np.ndarray) -> bool:
 
 def _phi_samples(body_angles: np.ndarray, phi) -> np.ndarray:
     if isinstance(phi, TestFunction):
-        if phi.kind == "trig":
-            return phi.trig(body_angles)
-        if phi.kind == "grid":
-            return phi.samples.copy()
-        raise ValueError("unsupported flow speed kind")
+        phi = {"trig": phi.trig, "grid": phi.samples}[phi.kind]
     if isinstance(phi, TrigPolynomial):
         return phi(body_angles)
     arr = np.asarray(phi, dtype=float)
@@ -357,7 +350,7 @@ def _renorm(x: np.ndarray) -> np.ndarray:
 
 
 def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
-              snapshot_every, kappa_floor, theta, nonfinite,
+              snapshot_every, theta, nonfinite,
               project=lambda z: z, reject=None, watch=None):
     """Integrate dy/dt = rhs(y, g) with classical fixed-step RK4.
 
@@ -399,7 +392,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
         g_next = geometry(candidate)
         if not np.all(np.isfinite(candidate)):
             alive, reason = False, nonfinite
-        elif np.min(g_next[3]) <= kappa_floor:
+        elif np.min(g_next[3]) <= KAPPA_FLOOR:
             alive, reason = False, "curvature-floor"
         elif reject is not None and reject(k, candidate):
             alive, reason = False, "self-intersection"
@@ -431,7 +424,6 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
 def parallel_normal_flow(initial, phi, t_end: float, dt: float,
                          snapshot_every: int = 10,
                          intersect_every: int = 25,
-                         kappa_floor: float = KAPPA_FLOOR,
                          theta: Optional[InverseDimension] = None) -> FlowResult:
     """Run the parallel normal flow from a plane body or a sphere curve.
 
@@ -466,7 +458,7 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
     else:
         raise TypeError(type(initial).__name__)
     g = geometry(y)
-    if np.min(g[3]) <= kappa_floor:
+    if np.min(g[3]) <= KAPPA_FLOOR:
         raise ConvexityViolation(f"initial {'sphere ' if on_sphere else ''}"
                                  "curve is not strictly convex")
     phi_y = periodic_diff1(phi_vals, hy)     # phi is fixed per trajectory
@@ -496,7 +488,7 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
 
     result, _ = _rk4_flow(
         y, g, geometry, rhs, lambda x: (x, phi_vals), mass, phi_vals, t_end,
-        dt, snapshot_every, kappa_floor, theta, "curvature-floor",
+        dt, snapshot_every, theta, "curvature-floor",
         project=project, reject=reject, watch=watch)
     result.normal_drift = drift
     result.diagnostics.update(diagnostics)
@@ -518,7 +510,6 @@ def _wave_rhs(z: np.ndarray, g, hy: float) -> np.ndarray:
 
 
 def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
-                    kappa_floor: float = KAPPA_FLOOR,
                     theta: Optional[InverseDimension] = None,
                     snapshot_every: int = 50) -> FlowResult:
     """Coupled wave: dF/dt = phi nu, d(log phi)/dt = L_(Sigma, II, mu) phi.
@@ -544,7 +535,7 @@ def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
         y, geometry(y), geometry, lambda z, g: _wave_rhs(z, g, hy),
         lambda z: (z[:, :2], np.exp(z[:, 2])),
         lambda z, g: polyline_area(z[:, :2], hy), phi_vals, t_end, dt,
-        snapshot_every, kappa_floor, theta, "positivity-loss")
+        snapshot_every, theta, "positivity-loss")
     result.diagnostics["min_phi"] = float(np.exp(y[:, 2]).min())
     return result
 
@@ -553,8 +544,8 @@ def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
 # concavity and isoperimetry
 
 
-def concavity_check(series: ConcavitySeries, name: str = "concavity",
-                    tol_base: float = 1e-6) -> CheckReport:
+def concavity_check(series: ConcavitySeries,
+                    name: str = "concavity") -> CheckReport:
     """Max central second difference of the transformed series vs zero.
 
     The tolerance scales with dt^2, matching the magnitude of true second
@@ -566,7 +557,7 @@ def concavity_check(series: ConcavitySeries, name: str = "concavity",
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
     worst = float(np.max(d2))
     dt = series.dt
-    tol = tol_base * dt * dt * max(1.0, float(np.max(np.abs(g))))
+    tol = 1e-6 * dt * dt * max(1.0, float(np.max(np.abs(g))))
     return from_inequality(
         name, lhs=worst, rhs=0.0, tolerance=tol,
         params={"dt": dt, "steps": int(g.size - 1),
@@ -591,14 +582,13 @@ def steiner_fit_residual(K: ConvexPlaneBody, L: ConvexPlaneBody,
 
 
 def isoperimetric_checks(K: ConvexPlaneBody, L: ConvexPlaneBody,
-                         theta: InverseDimension,
-                         t_grid=None):
+                         theta: InverseDimension):
     """Three assertions of the convex isoperimetric comparison.
 
     1. concavity of the transformed extension mass t -> N mu(K + tL)^(1/N);
     2. the anisotropic boundary measure mu+_L(K) dominates the secant
-       bound over t_grid (and, at theta = 1/2, the homogeneous bound
-       2 sqrt(mu(K) mu(L)));
+       bound over t = 0.1, 0.2, ..., 1 (and, at theta = 1/2, the
+       homogeneous bound 2 sqrt(mu(K) mu(L)));
     3. the profile ratio I(v)^(N/(N-1))/v is non-increasing along the
        extension family.
 
@@ -608,9 +598,7 @@ def isoperimetric_checks(K: ConvexPlaneBody, L: ConvexPlaneBody,
     """
     if theta.is_zero_n:
         raise ValueError("isoperimetric comparison is undefined at N = 0")
-    if t_grid is None:
-        t_grid = np.linspace(0.1, 1.0, 10)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.linspace(0.1, 1.0, 10)
     a_k = K.area()
     a_l = L.area()
     w_kl = mixed_area(K, L)

@@ -178,11 +178,7 @@ def _bln_radial(ball: RadialBall, fn: TestFunction, case: str,
         raise ValueError("radial domains take sampled radial test functions")
     f = fn.samples
     fp = diff1(f, ball.h)
-    coef = theta.inv_n_minus_k(ball.n_ambient)
-    ric_radial = ball.ddV - coef * ball.dV**2
-    tangential = np.empty_like(ric_radial)
-    tangential[1:] = ball.dV[1:] / ball.r[1:]
-    tangential[0] = ball.ddV[0]
+    ric_radial, tangential = ball.bakry_emery(theta)
     if min(ric_radial.min(), tangential.min()) <= 0.0:
         raise CurvatureNotPositive(f"Ric_(mu,N) not positive on {ball.label}")
     if case == "dirichlet":
@@ -292,7 +288,7 @@ def check_lichnerowicz(model: IntervalModel, rho: float,
     """Gap bound N/(N-1) rho <= lambda_1 under CD(rho, N)."""
     case = case.lower()
     bc = NEUMANN if case == "neumann" else DIRICHLET
-    margin = cd_min(model, theta)
+    margin = model.bakry_emery_min(theta)
     if margin < rho - 1e-10 * max(1.0, abs(rho)):
         raise CurvatureNotPositive(
             f"CD({rho:g}, N) fails: min Ric = {margin:.6g} on {model.label}"
@@ -305,14 +301,6 @@ def check_lichnerowicz(model: IntervalModel, rho: float,
         params={"model": model.label, "rho": rho, "theta": theta.theta,
                 "n": model.n_pts, "gap": lam},
     )
-
-
-def cd_min(model, theta: InverseDimension) -> float:
-    if isinstance(model, IntervalModel):
-        return float(np.min(model.bakry_emery(theta)))
-    if isinstance(model, RadialBall):
-        return model.bakry_emery_min(theta)
-    raise TypeError(type(model).__name__)
 
 
 def check_veysseire(model: IntervalModel) -> CheckReport:
@@ -478,7 +466,7 @@ def check_mean_curvature(body, theta: InverseDimension):
     return [hr1, hr2, link]
 
 
-def check_boundary_gaps(body, rho_ambient: float = 0.0, m_max: int = 8):
+def check_boundary_gaps(body, rho_ambient: float = 0.0):
     """Spectral-gap lower bounds on the boundary of a convex body.
 
     Computes lambda_1 of the boundary weighted Laplacian and checks the
@@ -493,7 +481,7 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0, m_max: int = 8):
         mode = None
         grid_h = None                      # spectral curve operator
     elif isinstance(body, RevolutionBody3D):
-        lam, mode = boundary_gap_revolution(body, m_max=m_max)
+        lam, mode = boundary_gap_revolution(body)
         grid_h = body.h                    # O(h^2) profile eigensolver
     else:
         raise TypeError(type(body).__name__)
@@ -518,6 +506,7 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0, m_max: int = 8):
             params={"body": label, "rho": rho, "a": a},
         ),
     ]
+    barea = weighted_integral(np.ones_like(geom.H_g), body)
     if isinstance(body, RevolutionBody3D) and not body.has_density:
         n = 3
         pointwise = (geom.H_g - geom.II) * geom.II
@@ -526,14 +515,12 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0, m_max: int = 8):
             "boundary-gap-curvature-split", lhs=lich, rhs=lam, tolerance=tol,
             params={"body": label, "pointwise_min": float(np.min(pointwise))},
         ))
-        barea = weighted_integral(np.ones_like(geom.H_g), body)
         harmonic = barea / weighted_integral(1.0 / pointwise, body)
         out.append(from_inequality(
             "boundary-gap-harmonic-mean", lhs=harmonic, rhs=lam, tolerance=tol,
             params={"body": label},
         ))
     # unknown universal constant: ratio reported, never pass/fail
-    barea = weighted_integral(np.ones_like(geom.H_g), body)
     avg_invh = weighted_integral(1.0 / geom.H_mu, body) / barea
     if isinstance(body, RevolutionBody3D):
         sig_field = np.minimum(geom.kappa1, geom.kappa2)
@@ -551,8 +538,7 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0, m_max: int = 8):
 
 def boundary_cd_report(body: RevolutionBody3D, rho_ambient: float = 0.0,
                        kappa_bound: float = 0.0,
-                       theta: Optional[InverseDimension] = None,
-                       m_max: int = 8):
+                       theta: Optional[InverseDimension] = None):
     """Curvature-dimension transfer to the boundary surface.
 
     Compares the intrinsic Gauss curvature of the profile metric with the
@@ -600,7 +586,7 @@ def boundary_cd_report(body: RevolutionBody3D, rho_ambient: float = 0.0,
         raise ValueError("log-Sobolev transfer needs N in [n, inf]")
     nm1_over_nm2 = (1.0 - theta.theta) / (1.0 - 2.0 * theta.theta)
     lam_ls = rho0 * nm1_over_nm2
-    lam, mode = boundary_gap_revolution(body, m_max=m_max)
+    lam, mode = boundary_gap_revolution(body)
     reports.append(from_inequality(
         "boundary-log-sobolev-gap", lhs=lam_ls, rhs=lam,
         tolerance=inequality_tolerance(scale=max(1.0, lam), h=body.h),

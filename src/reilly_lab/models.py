@@ -14,13 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dimension import InverseDimension
-from .numerics import diff1, diff2, simpson_uniform
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+from .numerics import _freeze, diff1, diff2, simpson_uniform
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,10 @@ class IntervalModel:
                 raise ValueError("theta = 1/n requires a constant potential")
             return self.ddV.copy()
         return self.ddV - theta.inv_n_minus_1 * self.dV**2
+
+    def bakry_emery_min(self, theta: InverseDimension) -> float:
+        """Smallest Ric_{mu,N} over the nodes."""
+        return float(np.min(self.bakry_emery(theta)))
 
     def boundary_h_mu(self) -> tuple:
         """(H_mu(a), H_mu(b)) = (+V'(a), -V'(b)): outward normals -1, +1."""
@@ -270,8 +268,8 @@ class RadialBall:
             -float(self.V[-1])
         )
 
-    def bakry_emery_min(self, theta: InverseDimension) -> float:
-        """Smallest eigenvalue of Ric_{mu,N} over nodes and directions.
+    def bakry_emery(self, theta: InverseDimension) -> tuple:
+        """The (radial, tangential) eigenvalue fields of Ric_{mu,N}.
 
         Radial eigenvalue V'' - (V')^2/(N-n); tangential eigenvalue V'/r,
         with the r -> 0 limit V''(0).
@@ -286,6 +284,11 @@ class RadialBall:
         tangential = np.empty_like(radial)
         tangential[1:] = self.dV[1:] / self.r[1:]
         tangential[0] = self.ddV[0]
+        return radial, tangential
+
+    def bakry_emery_min(self, theta: InverseDimension) -> float:
+        """Smallest eigenvalue of Ric_{mu,N} over nodes and directions."""
+        radial, tangential = self.bakry_emery(theta)
         return float(min(radial.min(), tangential.min()))
 
 

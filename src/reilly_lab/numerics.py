@@ -21,6 +21,13 @@ _D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
 _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 
 
+def _freeze(arr) -> np.ndarray:
+    """Contiguous float array of arr, made read-only."""
+    out = np.ascontiguousarray(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def diff1(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative of samples on a uniform grid (4th order)."""
     y = np.asarray(y, dtype=float)

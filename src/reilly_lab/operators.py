@@ -36,6 +36,7 @@ from .numerics import fourier_diff_matrix, periodic_trapezoid, simpson_uniform
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
+AZIMUTHAL_MODES = 8
 
 
 @dataclass(frozen=True)
@@ -451,16 +452,17 @@ def boundary_geometry(body) -> BoundaryGeometry:
     raise TypeError(f"no boundary geometry for {type(body).__name__}")
 
 
-def boundary_gap_revolution(body: RevolutionBody3D, m_max: int = 8):
+def boundary_gap_revolution(body: RevolutionBody3D):
     """Spectral gap of the boundary weighted Laplacian of a revolution body.
 
     Fourier decomposition in the rotation angle reduces the surface
     eigenproblem to 1-D Sturm-Liouville problems over the profile; the
-    gap is the minimum over azimuthal modes 0..m_max, excluding the
-    constant mode of the axisymmetric block.  Returns (lambda_1, mode).
+    gap is the minimum over the azimuthal modes 0..AZIMUTHAL_MODES,
+    excluding the constant mode of the axisymmetric block.  Returns
+    (lambda_1, mode).
     """
     from scipy.linalg import eigh_tridiagonal
-    ops = _revolution_mode_operators(body, m_max)
+    ops = _revolution_mode_operators(body, AZIMUTHAL_MODES)
     best = math.inf
     best_mode = -1
     for mode, op in enumerate(ops):

@@ -131,8 +131,8 @@ def flat_ball(n_ambient: int = 2, r_outer: float = 1.0, n_pts: int = 1001):
 
 
 def body_from_spec(spec: str, m: int = DEFAULT_M):
-    """Parse CLI/config body specs: disk | ellipse:a,b | wavy | cap:r |
-    sphere[:R] | spheroid:a,c.  Every size must be finite and positive."""
+    """Parse the flow's body specs: disk | ellipse:a,b | wavy | cap:r.
+    Every size must be finite and positive."""
     name, _, argtext = spec.partition(":")
     try:
         args = [float(x) for x in argtext.split(",") if x.strip()]
@@ -147,11 +147,6 @@ def body_from_spec(spec: str, m: int = DEFAULT_M):
             return wavy_body(m=m)
         if name == "cap":
             return build_sphere_cap(args[0] if args else math.pi / 3)
-        if name == "sphere":
-            return sphere_body(args[0] if args else 1.0)
-        if name == "spheroid":
-            a, c = (args + [1.0, 1.2])[:2]
-            return spheroid_body(a, c)
     except (ValueError, IndexError, ConvexityViolation) as exc:
         raise ConfigError(f"bad body spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown body {name!r}")

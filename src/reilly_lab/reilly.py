@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .checks import (CheckReport, from_identity, from_inequality,
-                     identity_tolerance, inequality_tolerance)
+                     inequality_tolerance)
 from .dimension import InverseDimension
 from .errors import NonRadialInput
 from .models import IntervalModel, RadialBall
@@ -27,18 +27,11 @@ VACUOUS_LU_FLOOR = 1e-12
 
 
 def cd_margin(model, rho: float, theta: InverseDimension) -> CheckReport:
-    """Pointwise curvature-dimension bound: rho <= min Ric_{mu,N}."""
-    if isinstance(model, IntervalModel):
-        ric_min = float(np.min(model.bakry_emery(theta)))
-        h = model.h
-    elif isinstance(model, RadialBall):
-        ric_min = model.bakry_emery_min(theta)
-        h = model.h
-    else:
-        raise TypeError(f"cd_margin does not support {type(model).__name__}")
-    tol = inequality_tolerance(scale=max(1.0, abs(rho)), h=h)
+    """Pointwise curvature-dimension bound: rho <= min Ric_{mu,N} on an
+    IntervalModel or a RadialBall."""
+    tol = inequality_tolerance(scale=max(1.0, abs(rho)), h=model.h)
     return from_inequality(
-        "cd-margin", lhs=rho, rhs=ric_min, tolerance=tol,
+        "cd-margin", lhs=rho, rhs=model.bakry_emery_min(theta), tolerance=tol,
         params={"rho": rho, "theta": theta.theta, "model": model.label,
                 "n": model.n_pts},
     )
@@ -54,11 +47,8 @@ def gamma2_residual(model: IntervalModel, u: np.ndarray, rho: float,
     the differencing stencils) drop the term, all other nodes are vacuous
     and excluded from the minimum; their count is recorded.
     """
-    u = np.asarray(u, dtype=float)
     h = model.h
-    up = diff1(u, h)
-    upp = diff2(u, h)
-    lu = upp - model.dV * up
+    up, upp, lu = _derivatives(model, u)
     gamma2 = upp**2 + model.ddV * up**2
     scale = max(1.0, float(np.max(np.abs(lu))), float(np.max(gamma2)))
     vacuous = 0
@@ -95,11 +85,7 @@ def gamma2_field(model: IntervalModel, u: np.ndarray, rho: float,
     At theta = -inf the (1/N)(Lu)^2 term is dropped, i.e. the field is
     the -inf * 0 = 0 convention form, meaningful where Lu = 0.
     """
-    u = np.asarray(u, dtype=float)
-    h = model.h
-    up = diff1(u, h)
-    upp = diff2(u, h)
-    lu = upp - model.dV * up
+    up, upp, lu = _derivatives(model, u)
     one_over_n = 0.0 if theta.is_zero_n else theta.theta
     return upp**2 + model.ddV * up**2 - rho * up**2 - one_over_n * lu**2
 
@@ -129,7 +115,7 @@ def reilly_residual(domain, u: np.ndarray, variant: str = "full") -> CheckReport
     lhs, hess, ric, boundary = terms
     residual = lhs - hess - ric - boundary
     scale = max(abs(lhs), abs(hess), abs(ric), abs(boundary), 1e-30)
-    tol = identity_tolerance(domain.h, scale=scale)
+    tol = inequality_tolerance(scale=scale, h=domain.h)
     return from_identity(
         "reilly-residual", residual=residual, tolerance=tol,
         lhs=lhs, rhs=hess + ric + boundary,
@@ -140,11 +126,15 @@ def reilly_residual(domain, u: np.ndarray, variant: str = "full") -> CheckReport
     )
 
 
+def _derivatives(model: IntervalModel, u):
+    """(u', u'', Lu) on the model's nodes, with Lu = u'' - V' u'."""
+    up = diff1(u, model.h)
+    upp = diff2(u, model.h)
+    return up, upp, upp - model.dV * up
+
+
 def _interval_terms(model: IntervalModel, u: np.ndarray):
-    h = model.h
-    up = diff1(u, h)
-    upp = diff2(u, h)
-    lu = upp - model.dV * up
+    up, upp, lu = _derivatives(model, u)
     lhs = weighted_integral(lu**2, model)
     hess = weighted_integral(upp**2, model)
     ric = weighted_integral(model.ddV * up**2, model)

@@ -100,29 +100,15 @@ def overall_pass(reports: Iterable[CheckReport]) -> bool:
 
 
 def sweep_csv(param: str, values: List[str],
-              rows: List[List[CheckReport]]) -> str:
-    """One row per swept value; columns flatten every check in name order."""
-    names = sorted({r.name for row in rows for r in row})
-    header = [param]
-    for name in names:
-        header.extend([f"{name}:lhs", f"{name}:rhs", f"{name}:slack",
-                       f"{name}:pass"])
-    lines = [",".join(header)]
-    for value, row in zip(values, rows):
-        by_name = {r.name: r for r in row}
-        cells = [str(value)]
-        for name in names:
-            rep = by_name.get(name)
-            if rep is None:
-                cells.extend(["", "", "", ""])
-            else:
-                passed = rep.passed
-                cells.extend([
-                    format(rep.lhs, ".17g"), format(rep.rhs, ".17g"),
-                    format(rep.slack, ".17g"),
-                    "" if passed is None else str(passed).lower(),
-                ])
-        lines.append(",".join(cells))
+              reports: List[CheckReport]) -> str:
+    """One row per swept value and its report; every report of a sweep is
+    the same check, whose name heads the lhs, rhs, slack and pass columns."""
+    name = reports[0].name
+    lines = [f"{param},{name}:lhs,{name}:rhs,{name}:slack,{name}:pass"]
+    for value, rep in zip(values, reports):
+        passed = "" if rep.passed is None else str(rep.passed).lower()
+        lines.append(f"{value},{rep.lhs:.17g},{rep.rhs:.17g},"
+                     f"{rep.slack:.17g},{passed}")
     return "\n".join(lines) + "\n"
 
 

@@ -38,12 +38,12 @@ from .inequalities import (TestFunction, boundary_cd_report, check_bln,
                            check_dual_colesanti, check_lichnerowicz,
                            check_mean_curvature, check_veysseire,
                            sharpness_ratio)
-from .models import (build_gaussian_interval, build_interval_model,
-                     build_model_density)
+from .models import build_interval_model, build_model_density
 from .operators import (DIRICHLET, PERIODIC, assemble_laplacian,
                         eigenvalues, spectral_gap)
 from .presets import (disk_body, ellipse_body, flat_ball, gaussian_ball,
-                      gaussian_half_model, model_density_params,
+                      gaussian_half_model, gaussian_model,
+                      model_density_params,
                       random_convex_bodies, random_test_polynomials,
                       sphere_body, spheroid_body, veysseire_quartic_model)
 from .reilly import cd_margin, gamma2_field, reilly_convergence
@@ -71,10 +71,6 @@ def _worst(reports: List[CheckReport], **params) -> CheckReport:
         "", lhs=worst.lhs, rhs=worst.rhs, tolerance=worst.tolerance,
         params={**params, "count": len(reports), "worst_member": worst.params},
     )
-
-
-def _gauss(n_pts: int):
-    return build_gaussian_interval(1.0, 6.0, n_pts)
 
 
 def _model(n_value: float, n_pts: int):
@@ -227,7 +223,7 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
     """Every check of every suite, in suite order."""
     return [
         ("reilly/interval-gauss", lambda: reilly_convergence(
-            _gauss, lambda t: t**2, REILLY_RESOLUTIONS)),
+            gaussian_model, lambda t: t**2, REILLY_RESOLUTIONS)),
         ("reilly/interval-model-n5", lambda: reilly_convergence(
             lambda n: _model(5.0, n), lambda t: np.sin(0.5 * t),
             REILLY_RESOLUTIONS)),
@@ -237,13 +233,14 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
         ("reilly/gamma2-model-equality", lambda: _gamma2(
             _model(5.0, 2001), lambda t: np.sin(0.5 * t), TH5, n=2001)),
         ("reilly/gamma2-gauss-linear",
-         lambda: _gamma2(_gauss(2001), np.copy, TH_INF)),
+         lambda: _gamma2(gaussian_model(2001), np.copy, TH_INF)),
         ("reilly/cd-margin-model-n5",
          lambda: cd_margin(_model(5.0, 2001), 1.0, TH5)),
-        ("reilly/cd-margin-gauss", lambda: cd_margin(_gauss(2001), 1.0, TH_INF)),
+        ("reilly/cd-margin-gauss",
+         lambda: cd_margin(gaussian_model(2001), 1.0, TH_INF)),
 
-        ("bln/gauss-neumann-linear",
-         lambda: _bln_samples(_gauss(4001), lambda m: m.t.copy(), "neumann")),
+        ("bln/gauss-neumann-linear", lambda: _bln_samples(
+            gaussian_model(4001), lambda m: m.t.copy(), "neumann")),
         ("bln/model-n5-extremal", lambda: _bln_extremal("neumann")),
         ("bln/model-n5-dirichlet-half", lambda: _bln_extremal("dirichlet")),
         ("bln/gaussian-ball-meanconvex", lambda: _bln_samples(
@@ -258,7 +255,7 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
         ("spectral/lichnerowicz-model-n20", lambda: check_lichnerowicz(
             _model(20.0, 2001), 1.0, InverseDimension.from_n(20.0))),
         ("spectral/lichnerowicz-gauss",
-         lambda: check_lichnerowicz(_gauss(2001), 1.0, TH_INF)),
+         lambda: check_lichnerowicz(gaussian_model(2001), 1.0, TH_INF)),
         ("spectral/lichnerowicz-gauss-half-dirichlet",
          lambda: check_lichnerowicz(gaussian_half_model(2001), 1.0, TH_INF,
                                     case="dirichlet")),

@@ -598,3 +598,44 @@ def test_suite_settings_precedence_env_file_flag(tmp_path, capsys,
     assert [echo(config=cfg)[k] for k in ("workers", "seed")] == [3, 7]
     assert [echo("--workers", "4", "--seed", "9", config=cfg)[k]
             for k in ("workers", "seed")] == [4, 9]
+
+
+@pytest.mark.parametrize("text", ["rho = 0\n", "rho = 0\nN = inf\n",
+                                  "rho = -1\n", "rho = inf\n", "rho = nan\n"])
+def test_sweep_lichnerowicz_refuses_rho_not_finite_positive(text, tmp_path,
+                                                            capsys):
+    # rho = 0 exited 3: no beta_trunc at N = 5, a division by zero at inf
+    cfg = tmp_path / "rho.cfg"
+    cfg.write_text("[sweep]\ncheck = lichnerowicz\nparam = n_pts\n"
+                   "values = 201\n" + text)
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    _config_error(capsys, "rho")
+
+
+@pytest.mark.parametrize("values", ["0", "-0", "5,0"])
+def test_sweep_lichnerowicz_refuses_n_zero(values, capsys):
+    # theta = -inf has no model density (exited 3)
+    assert run_cli(["sweep", "--check", "lichnerowicz", "--param", "N",
+                    f"--values={values}"]) == 2
+    _config_error(capsys, "N = 0")
+
+
+@pytest.mark.parametrize("text", [
+    "N = 1.25\n",                  # CD(1, N) misses by rounding at the end
+    "N = -2\nrho = 1e4\n",         # exp(-V) underflows on [-8, 8]
+    "N = 5\nrho = 1e300\n",        # the operator overflows
+])
+def test_sweep_lichnerowicz_unresolvable_rho_and_n_name_both(text, tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("[sweep]\ncheck = lichnerowicz\nparam = n_pts\n"
+                   "values = 201\n" + text)
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rho = ") and " at N = " in err, err
+
+
+@pytest.mark.parametrize("spec", ["sphere", "sphere:2", "spheroid:1,1.2"])
+def test_flow_refuses_revolution_body_specs(spec, capsys):
+    assert run_cli(["flow", "--body", spec]) == 2
+    _config_error(capsys, "unknown body")

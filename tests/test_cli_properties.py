@@ -77,3 +77,24 @@ def test_flow_t_end_never_crashes(seed, t_end):
     code, err = _run(["flow", "--seed", str(seed), f"--t-end={t_end!r}",
                       "--dt", "0.01", "--m", "32"])
     _assert_handled(code, err, ("seed", "t_end"))
+
+
+@SETTINGS
+@given(rho=NUMBERS, n_value=N_VALUES, param=st.sampled_from(["N", "n_pts"]),
+       case=st.sampled_from(["neumann", "dirichlet"]),
+       n_pts=st.integers(16, 2001), data=st.data())
+def test_lichnerowicz_sweep_rho_and_n_never_crash(rho, n_value, param, case,
+                                                  n_pts, data):
+    # N is swept or fixed in the file; n_pts stays small for runtime
+    values = (data.draw(st.lists(N_VALUES, min_size=1, max_size=3))
+              if param == "N" else [n_pts])
+    text = (f"[sweep]\nrho = {rho!r}\nN = {n_value!r}\ncase = {case}\n"
+            f"n_pts = {n_pts}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, err = _run(["sweep", "--check", "lichnerowicz", "--param", param,
+                          "--values=" + ",".join(map(repr, values)),
+                          "--config", path])
+    _assert_handled(code, err, ("rho", "N"))

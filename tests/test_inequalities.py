@@ -434,3 +434,15 @@ def test_boundary_cd_transfer_spheroid():
     assert ls.passed and ls.slack > 0.1
     margin = reports["boundary-cd-margin"]
     assert margin.passed
+
+
+def test_bln_radial_applies_the_constant_potential_rule():
+    # at theta = 1/n the dV (x) dV term drops for a constant potential
+    # only; 1/(N-n) itself is undefined there
+    from reilly_lab.presets import flat_ball
+    flat = flat_ball(2, 1.0, 201)
+    with pytest.raises(CurvatureNotPositive):
+        check_bln(flat, TestFunction.from_samples(flat.r**2), "neumann", TH2)
+    ball = gaussian_ball(2, 0.8, 201)
+    with pytest.raises(ValueError, match="constant potential"):
+        check_bln(ball, TestFunction.from_samples(ball.r**2), "neumann", TH2)

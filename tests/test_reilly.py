@@ -157,3 +157,13 @@ def test_reilly_variant_tags():
     assert rep.params["variant"] == "neumann-const"
     with pytest.raises(ValueError):
         reilly_residual(model, model.t**2, variant="bogus")
+
+
+@pytest.mark.parametrize("n_value", [20.0, -2.0, math.inf])
+def test_cd_margin_ball_is_the_minimum_of_both_fields(n_value):
+    from reilly_lab.presets import gaussian_ball
+    ball = gaussian_ball(3, 0.8, 201)
+    theta = InverseDimension.from_n(n_value, 3)
+    radial, tangential = ball.bakry_emery(theta)
+    assert cd_margin(ball, 0.5, theta).rhs == min(radial.min(),
+                                                  tangential.min())

@@ -13,7 +13,12 @@ The lines are:
   of small library flow runs, including their known deaths, plus the
   trajectory CSV that ``reporting.flow_csv`` writes from the states.
   Arrays are digested through their raw bytes, scalars through ``repr``;
-* with ``--suite all`` (the default) also the command line's own bytes:
+* with ``--suite all`` (the default) also ``lib <call> <sha>`` for
+  library calls that no verify suite makes (the Gamma_2 residual at
+  N = 5 and N = 0, the Reilly residual, dimensional Brascamp-Lieb and CD
+  margin on radial balls, the spheroid's boundary gap and spectrum):
+  check reports as their JSON record, arrays through their raw bytes,
+  anything else through ``repr``; and the command line's own bytes:
   ``sweep <run> exit=<code> <sha>`` for the stdout and stderr of small
   ``reilly-lab sweep`` runs (every check and swept parameter, both cases,
   N = inf, and two configuration errors), and ``cli-flow <run>
@@ -35,9 +40,20 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
+
 from reilly_lab import cli, flows
-from reilly_lab.presets import disk_body, ellipse_body
-from reilly_lab.reporting import flow_csv
+from reilly_lab.checks import CheckReport
+from reilly_lab.dimension import InverseDimension
+from reilly_lab.inequalities import TestFunction, check_bln
+from reilly_lab.models import build_model_density
+from reilly_lab.operators import (assemble_laplacian, boundary_gap_revolution,
+                                  eigenvalues)
+from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
+                                gaussian_ball, gaussian_model,
+                                model_density_params, spheroid_body)
+from reilly_lab.reilly import cd_margin, gamma2_residual, reilly_residual
+from reilly_lab.reporting import check_to_json, flow_csv
 from reilly_lab.trig import TrigPolynomial
 
 _COS2 = lambda c: TrigPolynomial((1.0, 0.0, c))  # noqa: E731
@@ -131,6 +147,44 @@ def flow_digests(result):
     yield "csv", _sha(flow_csv(result.states).encode())
 
 
+def library_results():
+    """(call, result) of library calls that no verify suite makes, with
+    signatures that every version of the library since the flow digests
+    accepts."""
+    model = build_model_density(model_density_params(1.0, 5.0), 801)
+    yield "gamma2-residual-n5", gamma2_residual(
+        model, np.sin(0.5 * model.t), 1.0, InverseDimension.from_n(5.0))
+    gauss = gaussian_model(801)
+    yield "gamma2-residual-n0", gamma2_residual(
+        gauss, gauss.t.copy(), 1.0, InverseDimension.from_n(0.0))
+    flat = flat_ball(2, 1.0, 401)
+    yield "reilly-residual-ball", reilly_residual(flat, flat.r**2)
+    ball = gaussian_ball(2, 0.8, 401)
+    theta = InverseDimension(0.0, 1)
+    yield "bln-ball-dirichlet", check_bln(
+        ball, TestFunction.from_samples(ball.r**2 - 0.64), "dirichlet", theta)
+    yield "bln-ball-meanconvex-auto", check_bln(
+        ball, TestFunction.from_samples(ball.r**2), "meanconvex", theta,
+        C="auto")
+    yield "cd-margin-ball", cd_margin(ball, 0.5,
+                                      InverseDimension.from_n(20.0, 2))
+    spheroid = spheroid_body(1.0, 1.2, 256)
+    yield "gap-revolution-spheroid", boundary_gap_revolution(spheroid)
+    yield "eigenvalues-spheroid", eigenvalues(
+        assemble_laplacian(spheroid, "neumann"), 5)
+
+
+def library_digests():
+    for name, result in library_results():
+        if isinstance(result, CheckReport):
+            data = check_to_json(result).encode()
+        elif isinstance(result, np.ndarray):
+            data = result.tobytes()
+        else:
+            data = repr(result).encode()
+        yield f"lib {name} {_sha(data)}"
+
+
 def _run_cli(argv):
     """(exit code, SHA-256 of stdout and stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -176,7 +230,7 @@ def main(argv=None) -> int:
         for field, digest in flow_digests(run()):
             print(f"flow {run_name} {field} {digest}")
     if args.suite == "all":
-        for line in cli_digests():
+        for line in (*library_digests(), *cli_digests()):
             print(line)
     return 0
 
