@@ -10,6 +10,14 @@ and its parallel-normal-flow generalization.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: every dense matrix of
+# the lab has at most a few hundred rows, and the thread count changes the
+# low bits of the eigensolves.  This must run before numpy is first loaded.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
                      build_plane_body, build_revolution_body,
                      build_sphere_body, build_sphere_cap,
@@ -20,7 +28,8 @@ from .flows import (ConcavitySeries, FlowResult, FlowState, QuermassTriple,
                     concavity_check, geodesic_extension_measure,
                     isoperimetric_checks, latitude_circle,
                     minkowski_sum_support, parallel_normal_flow,
-                    quermassintegrals, weingarten_wave)
+                    quermassintegrals, weingarten_wave,
+                    weingarten_waves)
 from .inequalities import (TestFunction, boundary_cd_report, check_bln,
                            check_boundary_gaps, check_colesanti,
                            check_dual_colesanti, check_lichnerowicz,
@@ -53,4 +62,5 @@ __all__ = [
     "latitude_circle", "minkowski_sum_support", "parallel_normal_flow",
     "quermassintegrals", "reilly_residual", "sharpness_ratio",
     "solve_poisson", "spectral_gap", "weighted_integral", "weingarten_wave",
+    "weingarten_waves",
 ]

@@ -197,26 +197,32 @@ def quermassintegrals(body, theta: InverseDimension):
 
 
 def _plane_geometry(points: np.ndarray, hy: float):
+    """(speed, tau, nu, kappa) of (m, 2) markers or an (m, B, 2) batch."""
     py = periodic_diff1(points, hy)
     pyy = periodic_diff2(points, hy)
-    speed = np.hypot(py[:, 0], py[:, 1])
-    tau = py / speed[:, None]
+    speed = np.hypot(py[..., 0], py[..., 1])
+    tau = py / speed[..., None]
     nu = np.empty_like(tau)                          # outward for CCW curves
-    nu[:, 0], nu[:, 1] = tau[:, 1], -tau[:, 0]
-    kappa = (py[:, 0] * pyy[:, 1] - py[:, 1] * pyy[:, 0]) / speed**3
+    nu[..., 0], nu[..., 1] = tau[..., 1], -tau[..., 0]
+    kappa = (py[..., 0] * pyy[..., 1] - py[..., 1] * pyy[..., 0]) / speed**3
     return speed, tau, nu, kappa
 
 
-def polyline_area(points: np.ndarray, hy: float) -> float:
+def polyline_area(points: np.ndarray, hy: float):
     """Enclosed area of a smooth closed marker curve.
 
     Shoelace form with FFT differentiation: spectrally accurate for the
     analytic curves the flows produce, matching the full-period trapezoid
-    convention of the closed-curve quadrature.
+    convention of the closed-curve quadrature.  An (m, B, 2) batch gives
+    one area per member.
     """
     dp = spectral_diff(points, 1)
-    return 0.5 * float(np.sum(points[:, 0] * dp[:, 1]
-                              - points[:, 1] * dp[:, 0])) * hy
+    cross = points[..., 0] * dp[..., 1] - points[..., 1] * dp[..., 0]
+    if cross.ndim == 1:
+        return 0.5 * float(np.sum(cross)) * hy
+    # pairwise summation runs only along a contiguous inner axis, so each
+    # member is summed as a contiguous row to keep the bits of its solo run
+    return 0.5 * np.array([np.sum(row) for row in cross.T.copy()]) * hy
 
 
 def self_intersects(points: np.ndarray) -> bool:
@@ -354,6 +360,8 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
               project=lambda z: z, reject=None, watch=None):
     """Integrate dy/dt = rhs(y, g) with classical fixed-step RK4.
 
+    y is one member's state with markers on axis 0, (m, k), or a batch
+    (m, B, k) of members that share m, dt and the step count.
     g = geometry(y) starts with (speed, tau, nu, kappa) and is evaluated
     once per state: a candidate's geometry decides its acceptance, then
     serves as the next step's first stage.  view(y) gives a snapshot's
@@ -362,24 +370,37 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     may veto step k and watch(y_prev, g_prev, y, g) sees accepted steps.
     A candidate whose mass is not finite and positive ends the run as
     "measure-loss".
-    Returns the FlowResult (diagnostics m, dt) and the last state.
+    For a batch, mass and reject answer per member, and every check acts
+    per member: a member that breaks down gets its death snapshot at its
+    last accepted time and leaves the batch by column selection, so the
+    others keep the arithmetic, and the bits, of their solo runs.
+    Returns one (FlowResult (diagnostics m, dt), last state) per member.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be at least 1, got "
                          f"{snapshot_every!r}")
+    batched = y.ndim == 3
+    col = (lambda a, c: a[:, c]) if batched else (lambda a, c: a)
+    each = (lambda v: v) if batched else (lambda v: (v,))  # per-member values
+    marker_axes = (0, 2) if batched else None
+    ids = list(range(y.shape[1] if batched else 1))  # member per column
+    states = [[] for _ in ids]
+    reasons, last = [None] * len(ids), [None] * len(ids)
 
-    def snapshot(t, alive=True):
-        points, phi = view(y)
-        return FlowState(t, points.copy(), phi.copy(), g[2].copy(),
-                         g[3].copy(), alive=alive)
+    def snapshot(t, cols, phi=None, alive=True):
+        points, phi_now = view(y)
+        phi = phi_now if phi is None else phi
+        for c in cols:
+            states[ids[c]].append(FlowState(
+                t, col(points, c).copy(), col(phi, c).copy(),
+                col(g[2], c).copy(), col(g[3], c).copy(), alive=alive))
 
     steps = int(round(t_end / dt))
-    states = [FlowState(0.0, view(y)[0].copy(), phi0.copy(), g[2].copy(),
-                        g[3].copy())]
-    times, masses = [0.0], [mass(y, g)]
-    alive, reason = True, None
+    snapshot(0.0, range(len(ids)), phi=phi0)
+    times = [0.0]
+    masses = [[value] for value in each(mass(y, g))]
     for k in range(steps):
         k1 = rhs(y, g)
         stage = project(y + 0.5 * dt * k1)
@@ -390,31 +411,53 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
         k4 = rhs(stage, geometry(stage))
         candidate = project(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         g_next = geometry(candidate)
-        if not np.all(np.isfinite(candidate)):
-            alive, reason = False, nonfinite
-        elif np.min(g_next[3]) <= KAPPA_FLOOR:
-            alive, reason = False, "curvature-floor"
-        elif reject is not None and reject(k, candidate):
-            alive, reason = False, "self-intersection"
-        else:
-            mass_next = mass(candidate, g_next)
-            if not (math.isfinite(mass_next) and mass_next > 0.0):
-                alive, reason = False, "measure-loss"
-        if not alive:
-            states.append(snapshot(times[-1], alive=False))
-            break
+        finite = each(np.isfinite(candidate).all(axis=marker_axes))
+        floor = each(np.min(g_next[3], axis=0) <= KAPPA_FLOOR)
+        why = [nonfinite if not ok else "curvature-floor" if low else None
+               for ok, low in zip(finite, floor)]
+        if reject is not None and None in why:
+            vetoes = each(reject(k, candidate))
+            why = [w or ("self-intersection" if veto else None)
+                   for w, veto in zip(why, vetoes)]
+        ok = [c for c, w in enumerate(why) if w is None]
+        if len(ok) == len(ids):
+            values = mass(candidate, g_next)
+        else:                                # only members still alive
+            values = (mass(candidate[:, ok], tuple(a[:, ok] for a in g_next))
+                      if ok else [])
+        for c, value in zip(ok, each(values)):
+            if math.isfinite(value) and value > 0.0:
+                masses[ids[c]].append(value)
+            else:
+                why[c] = "measure-loss"
+        live = [c for c, w in enumerate(why) if w is None]
+        if len(live) < len(ids):
+            dead = [c for c, w in enumerate(why) if w is not None]
+            snapshot(times[-1], dead, alive=False)
+            for c in dead:
+                reasons[ids[c]], last[ids[c]] = why[c], col(y, c).copy()
+            if not live:
+                break
+            y, candidate = y[:, live], candidate[:, live]
+            g, g_next = (tuple(a[:, live] for a in h) for h in (g, g_next))
+            ids = [ids[c] for c in live]
         if watch is not None:
             watch(y, g, candidate, g_next)
         y, g = candidate, g_next
         times.append((k + 1) * dt)
-        masses.append(mass_next)
         if (k + 1) % snapshot_every == 0 or k == steps - 1:
-            states.append(snapshot(times[-1]))
-    series = (ConcavitySeries(np.array(times), np.array(masses), theta)
-              if len(times) > 1 else None)
-    return FlowResult(states=states, series=series, alive=alive,
-                      death_reason=reason,
-                      diagnostics={"m": y.shape[0], "dt": dt}), y
+            snapshot(times[-1], range(len(ids)))
+    for c, member in enumerate(ids):
+        if reasons[member] is None:
+            last[member] = col(y, c).copy()
+    return [(FlowResult(
+        states=states[member],
+        series=(ConcavitySeries(np.array(times[:len(masses[member])]),
+                                np.array(masses[member]), theta)
+                if len(masses[member]) > 1 else None),
+        alive=reasons[member] is None, death_reason=reasons[member],
+        diagnostics={"m": y.shape[0], "dt": dt}), last[member])
+        for member in range(len(states))]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +529,7 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
         diagnostics["max_step_drift"] = max(diagnostics["max_step_drift"],
                                             step_drift)
 
-    result, _ = _rk4_flow(
+    [(result, _)] = _rk4_flow(
         y, g, geometry, rhs, lambda x: (x, phi_vals), mass, phi_vals, t_end,
         dt, snapshot_every, theta, "curvature-floor",
         project=project, reject=reject, watch=watch)
@@ -501,11 +544,11 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
 
 def _wave_rhs(z: np.ndarray, g, hy: float) -> np.ndarray:
     speed, _, nu, kappa = g
-    phi = np.exp(z[:, 2])
+    phi = np.exp(z[..., 2])
     flux = periodic_diff1(phi, hy) / speed / kappa
     dz = np.empty_like(z)
-    np.multiply(phi[:, None], nu, out=dz[:, :2])
-    dz[:, 2] = periodic_diff1(flux, hy) / speed
+    np.multiply(phi[..., None], nu, out=dz[..., :2])
+    dz[..., 2] = periodic_diff1(flux, hy) / speed
     return dz
 
 
@@ -521,23 +564,47 @@ def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
     Stability of the explicit stepping requires dt of order (arclength
     spacing)^2.
     """
-    if body.has_density:
-        raise NotImplementedError("Weingarten wave assumes zero potential")
+    return weingarten_waves([(body, phi0)], t_end, dt, theta,
+                            snapshot_every)[0]
+
+
+def weingarten_waves(members, t_end: float, dt: float,
+                     theta: Optional[InverseDimension] = None,
+                     snapshot_every: int = 50) -> list[FlowResult]:
+    """weingarten_wave of each (body, phi0) pair, integrated as one batch.
+
+    The bodies must share m.  Each result has the bytes of the member's
+    own weingarten_wave run: a member that dies keeps its death record
+    and leaves the batch, and the others go on.
+    """
+    members = list(members)
+    if not members or len({body.m for body, _ in members}) != 1:
+        raise ValueError("batched waves need at least one body, and the "
+                         "bodies must share m")
     if theta is None:
         theta = InverseDimension(0.5, n_ambient=2)
-    hy = body.d_angle
-    phi_vals = _phi_samples(body.angles, phi0)
-    if np.min(phi_vals) <= 0.0:
-        raise ValueError("initial speed must be positive")
-    y = np.column_stack([body.points(), np.log(phi_vals)])   # F, log phi
-    geometry = lambda z: _plane_geometry(z[:, :2], hy)
-    result, y = _rk4_flow(
+    starts = []
+    for body, phi0 in members:
+        if body.has_density:
+            raise NotImplementedError("Weingarten wave assumes zero potential")
+        phi_vals = _phi_samples(body.angles, phi0)
+        if np.min(phi_vals) <= 0.0:
+            raise ValueError("initial speed must be positive")
+        starts.append((np.column_stack([body.points(), np.log(phi_vals)]),
+                       phi_vals))                            # F, log phi
+    # one member runs on 2-D arrays, a batch on (m, B, 3) ones
+    y, phi_vals = (starts[0] if len(starts) == 1 else
+                   (np.stack(a, axis=1) for a in zip(*starts)))
+    hy = members[0][0].d_angle
+    geometry = lambda z: _plane_geometry(z[..., :2], hy)
+    runs = _rk4_flow(
         y, geometry(y), geometry, lambda z, g: _wave_rhs(z, g, hy),
-        lambda z: (z[:, :2], np.exp(z[:, 2])),
-        lambda z, g: polyline_area(z[:, :2], hy), phi_vals, t_end, dt,
+        lambda z: (z[..., :2], np.exp(z[..., 2])),
+        lambda z, g: polyline_area(z[..., :2], hy), phi_vals, t_end, dt,
         snapshot_every, theta, "positivity-loss")
-    result.diagnostics["min_phi"] = float(np.exp(y[:, 2]).min())
-    return result
+    for result, last in runs:
+        result.diagnostics["min_phi"] = float(np.exp(last[:, 2]).min())
+    return [result for result, _ in runs]
 
 
 # ---------------------------------------------------------------------------

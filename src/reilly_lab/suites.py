@@ -2,7 +2,9 @@
 
 The catalogue is one table of rows ``(name, call)``.  ``name`` is
 ``"<suite>/<check>"`` and appears nowhere else; ``call`` takes no
-arguments and builds its inputs only when it runs.  ``suite_thunks``
+arguments and builds its inputs only when it runs.  The three
+``flows/wave-*`` rows read one batched integration, which the first of
+them to run builds for that catalogue alone.  ``suite_thunks``
 selects the rows of one suite by the prefix before the ``/``, and
 ``run_suite_checks`` runs them serially and names what they return:
 
@@ -18,6 +20,7 @@ by the CLI but never changes the run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from typing import Callable, List, Tuple
@@ -32,7 +35,8 @@ from .flows import (cap_extension_series, concavity_check,
                     geodesic_extension_measure, hausdorff_points,
                     isoperimetric_checks, latitude_circle,
                     minkowski_sum_support, parallel_normal_flow,
-                    quermassintegrals, steiner_fit_residual, weingarten_wave)
+                    quermassintegrals, steiner_fit_residual,
+                    weingarten_waves)
 from .inequalities import (TestFunction, boundary_cd_report, check_bln,
                            check_boundary_gaps, check_colesanti,
                            check_dual_colesanti, check_lichnerowicz,
@@ -183,8 +187,15 @@ def _pnf_oracle():
     ]
 
 
-def _wave_linear():
-    res = weingarten_wave(disk_body(m=128), 1.0, 0.2, 2e-4)
+def _waves():
+    """The catalogue's three waves, integrated as one batch."""
+    return weingarten_waves([
+        (disk_body(m=128), 1.0),
+        (disk_body(m=128), TrigPolynomial((1.0, 0.0, 0.2))),
+        (ellipse_body(m=128), 1.0)], 0.2, 2e-4)
+
+
+def _wave_linear(res):
     g = res.series.transformed()
     d2 = np.max(np.abs(g[2:] - 2 * g[1:-1] + g[:-2]))
     return [
@@ -194,8 +205,7 @@ def _wave_linear():
     ]
 
 
-def _wave_alive(body, phi, prefix: str = ""):
-    res = weingarten_wave(body, phi, 0.2, 2e-4)
+def _wave_alive(res, prefix: str = ""):
     return [
         from_inequality(prefix + "alive", lhs=1.0,
                         rhs=1.0 if res.alive else 0.0, tolerance=0.0,
@@ -221,6 +231,7 @@ def _extension(domain, t: float, exact: float) -> CheckReport:
 
 def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
     """Every check of every suite, in suite order."""
+    waves = functools.cache(_waves)
     return [
         ("reilly/interval-gauss", lambda: reilly_convergence(
             gaussian_model, lambda t: t**2, REILLY_RESOLUTIONS)),
@@ -307,12 +318,10 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
             latitude_circle(math.pi / 3, 128),
             2.0 * math.pi * (1.0 - math.cos(math.pi / 3 + 0.5)), (1e-6, 1e-5),
             128, "area")),
-        ("flows/wave-const", _wave_linear),
+        ("flows/wave-const", lambda: _wave_linear(waves()[0])),
         ("flows/wave-perturbed", lambda: _wave_alive(
-            disk_body(m=128), TrigPolynomial((1.0, 0.0, 0.2)),
-            "flows/wave-disk-perturbed-")),
-        ("flows/wave-ellipse",
-         lambda: _wave_alive(ellipse_body(m=128), 1.0)),
+            waves()[1], "flows/wave-disk-perturbed-")),
+        ("flows/wave-ellipse", lambda: _wave_alive(waves()[2])),
         ("flows/measure-monotone", _measure_monotone),
         ("flows/cap-analytic-concavity", lambda: concavity_check(
             cap_extension_series(build_sphere_cap(math.pi / 3), 1.0, 1e-2))),

@@ -583,3 +583,53 @@ def test_first_state_owns_its_arrays(monkeypatch, name):
     first, g0 = res.states[0], seen[0]
     for stored in (first.points, first.phi, first.normals, first.kappa):
         assert not any(np.shares_memory(stored, a) for a in g0)
+
+
+# ---------------------------------------------------------------------------
+# batched waves against their solo runs
+
+
+def _assert_same_bytes(got, want):
+    got, want = _result_fields(got), _result_fields(want)
+    assert list(got) == list(want)
+    for field in want:
+        assert got[field] == want[field], field
+
+
+def test_batched_catalogue_waves_match_solo_runs_bytewise():
+    members = [(disk_body(m=128), 1.0), (disk_body(m=128), _COS2(0.2)),
+               (ellipse_body(m=128), 1.0)]
+    batch = flows.weingarten_waves(members, 0.2, 2e-4)
+    assert len(batch) == len(members)
+    for (body, phi), got in zip(members, batch):
+        _assert_same_bytes(got, weingarten_wave(body, phi, 0.2, 2e-4))
+
+
+@pytest.mark.parametrize("dt, death", [(3.3e-3, "curvature-floor"),
+                                       (3.6e-3, "positivity-loss")])
+@pytest.mark.parametrize("dying_first", [True, False])
+def test_batched_wave_member_dies_alone(dt, death, dying_first):
+    # between the two members' step limits the ellipse breaks down early
+    # and the disk runs to the end, in the batch as in their solo runs
+    members = [(ellipse_body(1.5, 1.0, m=128), _COS2(0.2)),
+               (disk_body(m=128), _COS2(0.2))]
+    if not dying_first:
+        members.reverse()
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [weingarten_wave(body, phi, 0.3, dt, snapshot_every=5)
+                for body, phi in members]
+        batch = flows.weingarten_waves(members, 0.3, dt, snapshot_every=5)
+    dying, survivor = solo if dying_first else solo[::-1]
+    assert dying.death_reason == death and not dying.states[-1].alive
+    assert survivor.alive and survivor.series.times[-1] > 0.29
+    assert survivor.states[-1].t > dying.states[-1].t
+    for got, want in zip(batch, solo):
+        _assert_same_bytes(got, want)
+
+
+def test_batched_waves_need_bodies_that_share_m():
+    with pytest.raises(ValueError, match="share m"):
+        flows.weingarten_waves([(disk_body(m=64), 1.0),
+                                (disk_body(m=128), 1.0)], 0.01, 1e-3)
+    with pytest.raises(ValueError, match="at least one"):
+        flows.weingarten_waves([], 0.01, 1e-3)

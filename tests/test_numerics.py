@@ -168,3 +168,26 @@ def test_richardson_eliminates_leading_order():
     fine = exact + 1e-4
     assert richardson((coarse, fine), ratio=2.0, order=2) == pytest.approx(
         exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [64, 127, 128, 256])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_stencils_on_batches_match_columns(m, batch):
+    # a batch of flows holds its members on axis 1, (m, B, k); each
+    # member's derivative must have the bits of its own call
+    rng = np.random.default_rng(1000 * m + batch)
+    y = rng.standard_normal((m, batch, 3))
+    h = 2.0 * math.pi / m
+    stencils = {"periodic_diff1": lambda a: periodic_diff1(a, h),
+                "periodic_diff2": lambda a: periodic_diff2(a, h)}
+    stencils.update({f"spectral_diff-{order}":
+                     (lambda a, order=order: spectral_diff(a, order))
+                     for order in (1, 2, 3)})
+    for name, stencil in stencils.items():
+        d = stencil(y)
+        assert d.shape == y.shape, name
+        for b in range(batch):
+            assert np.array_equal(d[:, b], stencil(y[:, b])), (name, b)
+            for j in range(3):
+                assert np.array_equal(d[:, b, j], stencil(y[:, b, j])), \
+                    (name, b, j)

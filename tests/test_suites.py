@@ -31,3 +31,24 @@ def test_checks_run_serially_at_any_worker_count(monkeypatch):
     reports = run_suite_checks("flows", seed=3, workers=2)
     assert reports == serial
     assert all(r.name.startswith("flows/") for r in reports)
+
+
+def test_wave_rows_share_one_batch_per_catalogue(monkeypatch):
+    # the three wave rows read one batched integration, built when the
+    # first of them runs; every catalogue builds its own, so a later
+    # verify run in the same process repeats the work
+    from reilly_lab import suites
+    calls = []
+
+    def short_batch(members, t_end, dt):
+        calls.append([body.label for body, _ in members])
+        return real(members, 10 * dt, dt)
+
+    real = suites.weingarten_waves
+    monkeypatch.setattr(suites, "weingarten_waves", short_batch)
+    for expected in (1, 2):
+        rows = [(name, call) for name, call in suite_thunks("flows", 3)
+                if name.startswith("flows/wave-")]
+        assert len(calls) == expected - 1
+        assert [len(call()) for _, call in rows] == [2, 2, 2]
+        assert len(calls) == expected and len(calls[-1]) == len(rows)

@@ -40,6 +40,7 @@ import sys
 import tempfile
 import warnings
 
+import reilly_lab  # noqa: F401  (first: sets the BLAS thread default)
 import numpy as np
 
 from reilly_lab import cli, flows
