@@ -43,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-scale", type=float, dest="tol_scale",
                         help="multiply every tolerance by this factor")
     common.add_argument("--workers", type=int,
-                        help="worker count, validated and echoed; checks "
-                             "always run serially (default 1 or "
+                        help="processes that run the checks; reports do "
+                             "not depend on it (default 1 or "
                              "REILLY_LAB_WORKERS)")
     common.add_argument("--seed", type=int, help="corpus seed (default 1234)")
 

@@ -222,7 +222,7 @@ def polyline_area(points: np.ndarray, hy: float):
         return 0.5 * float(np.sum(cross)) * hy
     # pairwise summation runs only along a contiguous inner axis, so each
     # member is summed as a contiguous row to keep the bits of its solo run
-    return 0.5 * np.array([np.sum(row) for row in cross.T.copy()]) * hy
+    return 0.5 * cross.T.copy().sum(axis=1) * hy
 
 
 def self_intersects(points: np.ndarray) -> bool:

@@ -6,7 +6,7 @@ arguments and builds its inputs only when it runs.  The three
 ``flows/wave-*`` rows read one batched integration, which the first of
 them to run builds for that catalogue alone.  ``suite_thunks``
 selects the rows of one suite by the prefix before the ``/``, and
-``run_suite_checks`` runs them serially and names what they return:
+``run_suite_checks`` runs them and names what they return:
 
   * a single report takes the row name;
   * each member of a report family (mean curvature, boundary gaps,
@@ -14,14 +14,17 @@ selects the rows of one suite by the prefix before the ``/``, and
     ``"<row>-<member>"``, unless it already carries a ``suite/`` name.
 
 Reports are emitted sorted by name, so the output is deterministic for a
-fixed configuration.  The worker count is accepted, validated and echoed
-by the CLI but never changes the run.
+fixed configuration.  The caller and, where ``os.fork`` exists,
+``workers - 1`` forked copies of it drain one queue of work items.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import os
+import pickle
 from dataclasses import replace
 from typing import Callable, List, Tuple
 
@@ -30,7 +33,7 @@ import numpy as np
 from .bodies import build_plane_body, build_sphere_cap
 from .checks import CheckReport, from_identity, from_inequality
 from .dimension import InverseDimension
-from .errors import ConfigError
+from .errors import ConfigError, ReillyLabError
 from .flows import (cap_extension_series, concavity_check,
                     geodesic_extension_measure, hausdorff_points,
                     isoperimetric_checks, latitude_circle,
@@ -57,6 +60,9 @@ SUITE_NAMES = ("reilly", "bln", "spectral", "colesanti", "boundary", "flows",
                "isoperimetric", "all")
 
 REILLY_RESOLUTIONS = (251, 501, 1001)
+
+# the catalogue's lazy imports, loaded before forking so workers share them
+FORK_PRELOAD = ("scipy.linalg", "scipy.interpolate", "scipy.integrate")
 
 TH_INF = InverseDimension(0.0, 1)
 TH2 = InverseDimension(0.5, 2)
@@ -364,14 +370,81 @@ def suite_thunks(suite: str, seed: int) -> List[Tuple[str, Callable]]:
             if suite in ("all", name.partition("/")[0])]
 
 
+def _items(rows) -> List[List[int]]:
+    """Row indices by work item, the largest first: the ``flows/wave-*``
+    rows share one batch, every other row stands alone."""
+    items = {}
+    for i, (name, _) in enumerate(rows):
+        items.setdefault(name.split("/wave-")[0], []).append(i)
+    return sorted(items.values(), key=len, reverse=True)
+
+
+def _take(queue: int):
+    data = os.read(queue, 4)
+    return int.from_bytes(data, "little") if data else None
+
+
+def _drain(rows, items, queue: int, item) -> list:
+    """[(row index, reports)] of ``item`` and of every item taken after it."""
+    done = []
+    while item is not None:
+        done += [(i, _named(rows[i][0], rows[i][1]())) for i in items[item]]
+        item = _take(queue)
+    return done
+
+
+def _fork(rows, items, queue: int) -> Tuple[int, int]:
+    """(pid, result pipe) of a forked worker that drains the queue."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            try:
+                result = _drain(rows, items, queue, _take(queue))
+            except Exception as exc:  # noqa: BLE001 - the caller re-raises
+                result = exc
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
+
+
 def run_suite_checks(suite: str, seed: int = 1234, workers: int = 1,
                      tol_scale: float = 1.0) -> List[CheckReport]:
-    """Execute a suite serially; reports come back sorted by check name.
-
-    ``workers`` is the CLI's echoed worker count; it never changes the run.
-    """
-    reports = [report for name, call in suite_thunks(suite, seed)
-               for report in _named(name, call())]
+    """Execute a suite on ``workers`` processes; reports come back sorted
+    by check name and do not depend on ``workers``."""
+    rows = suite_thunks(suite, seed)
+    items = _items(rows)
+    queue, feed = os.pipe()
+    os.write(feed, np.arange(len(items), dtype="<u4").tobytes())
+    os.close(feed)
+    forks = min(workers, len(items)) - 1 if hasattr(os, "fork") else 0
+    for module in FORK_PRELOAD if forks > 0 else ():
+        importlib.import_module(module)
+    children, results = [], []
+    try:
+        first = _take(queue)
+        for _ in range(forks):
+            children.append(_fork(rows, items, queue))
+        done = _drain(rows, items, queue, first)
+    finally:
+        os.close(queue)
+        for pid, read in children:
+            with os.fdopen(read, "rb") as pipe:
+                results.append(pipe.read())
+            os.waitpid(pid, 0)
+    for result in (pickle.loads(data) for data in results if data):
+        if isinstance(result, Exception):
+            raise result
+        done += result
+    ran = {i for i, _ in done}
+    if len(ran) < len(rows):
+        raise ReillyLabError("a worker died without a result; rows not run: "
+                             + ", ".join(name for i, (name, _) in
+                                         enumerate(rows) if i not in ran))
+    reports = [r for _, named in sorted(done) for r in named]
     if tol_scale != 1.0:
         reports = [r.with_tol_scale(tol_scale) for r in reports]
     return sorted(reports, key=lambda r: r.name)

@@ -15,13 +15,21 @@ median, q1 and q3 of ``setup_s``, ``pass_s``, ``pass_wall_s`` and
 ``peak_rss_mb`` with each run's value; and the SHA-256 of the ``checks``
 array of ``reilly-lab verify --suite all`` (default seed, one BLAS thread)
 run from the tree's ``src/``, the same bytes as the ``verify all
-seed=1234`` line of ``tools/output_digest.py``.  With ``--against`` the
-file also records the comparison below against that earlier file.
+seed=1234`` line of ``tools/output_digest.py``.  Under ``verify_wall`` it
+records, at ``--workers`` 1 and 2, the median and quartiles of the wall
+times of ``VERIFY_RUNS`` (5) ``reilly-lab verify --suite all`` runs,
+each in a fresh interpreter from the tree's ``src/`` with the BLAS
+thread variables unset (the package then defaults to one thread), the
+two worker counts alternating; and each run's largest-process peak RSS,
+the larger of its own (``RUSAGE_SELF``) and that of its forked workers
+(``RUSAGE_CHILDREN``).  With ``--against`` the file also records the
+comparison below against that earlier file.
 
 ``--compare A B`` prints, per workload and metric, the medians of A and B,
 B's relative change against A and the bound ``BENCHMARK.json`` fixes for
 the metric; for ``pass_s`` and ``setup_s`` also how many seeds run on both
-sides B wins, and whether the medians differ by more than A's q3 - q1.
+sides B wins, and whether the medians differ by more than A's q3 - q1;
+and the ``verify_wall`` medians that both files hold.
 """
 
 from __future__ import annotations
@@ -34,12 +42,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("setup_s", "pass_s", "pass_wall_s", "peak_rss_mb")
 THREAD_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
+VERIFY_RUNS = 5
 
 
 def spread(values) -> dict:
@@ -87,6 +97,41 @@ def checks_sha(tree: Path) -> str:
     return hashlib.sha256(document[start:-2]).hexdigest()
 
 
+# one verify run; prints its peak RSS and that of its workers in kB
+VERIFY_SCRIPT = """\
+import json, resource, sys
+from reilly_lab.cli import main
+code = main(["verify", "--suite", "all", "--workers", sys.argv[1],
+             "--out", sys.argv[2]])
+print(json.dumps([resource.getrusage(who).ru_maxrss for who in
+                  (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]))
+sys.exit(code)
+"""
+
+
+def verify_walls(tree: Path, runs: int) -> dict:
+    """Wall time and largest-process peak RSS of fresh-interpreter
+    ``verify --suite all`` runs at 1 and 2 workers, alternating."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_PIN}
+    env["PYTHONPATH"] = str(tree / "src")
+    walls = {1: [], 2: []}
+    rss = {1: [], 2: []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(runs):
+            for workers in walls:
+                start = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-c", VERIFY_SCRIPT, str(workers),
+                     str(Path(tmp) / "report.json")],
+                    env=env, check=True, capture_output=True, text=True,
+                    timeout=300)
+                walls[workers].append(time.perf_counter() - start)
+                rss[workers].append(max(json.loads(proc.stdout)) / 1024.0)
+    return {f"workers={w}": {
+        "wall_s": dict(spread(walls[w]), runs=walls[w]),
+        "peak_rss_mb": dict(spread(rss[w]), runs=rss[w])} for w in walls}
+
+
 def summarise(tree: Path, pr: int) -> dict:
     results = [json.loads(path.read_text(encoding="utf-8")) for path in
                sorted((tree / "perfbench" / "out").glob("*-trace0.json"))]
@@ -112,6 +157,7 @@ def summarise(tree: Path, pr: int) -> dict:
                                            "--", "src")),
             "src_sha256": src_sha(tree), "machine": machine,
             "verify_all_checks_sha256": checks_sha(tree),
+            "verify_wall": verify_walls(tree, VERIFY_RUNS),
             "workloads": workloads}
 
 
@@ -143,6 +189,13 @@ def compare(a: dict, b: dict) -> dict:
                 row["medians_differ_by_more_than_a_iqr"] = (
                     abs(change * old["median"]) > row["a_iqr"])
             rows[f"{name}.{metric}"] = row
+    for key in sorted(set(a.get("verify_wall", {}))
+                      & set(b.get("verify_wall", {}))):
+        for metric in ("wall_s", "peak_rss_mb"):
+            old, new = (x["verify_wall"][key][metric]["median"] for x in (a, b))
+            rows[f"verify.{key}.{metric}"] = {
+                "a_median": old, "b_median": new,
+                "relative_change": (new - old) / old, "bound": None}
     return {"a": {"pr": a["pr"], "commit": a["commit"]},
             "b": {"pr": b["pr"], "commit": b["commit"]},
             "same_verify_checks": (a["verify_all_checks_sha256"]

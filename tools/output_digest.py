@@ -23,7 +23,9 @@ The lines are:
   ``reilly-lab sweep`` runs (every check and swept parameter, both cases,
   N = inf, and two configuration errors), and ``cli-flow <run>
   exit=<code> <sha>`` plus ``cli-flow <run> csv <sha>`` for the report
-  and trajectory CSV of one ``reilly-lab flow`` run of each kind.
+  and trajectory CSV of one ``reilly-lab flow`` run of each kind; last,
+  ``verify all seed=<n> workers=2 checks <sha>`` per seed, the same
+  digest as the ``verify`` line above it with two worker processes.
 
 A change meant to keep every output byte-identical runs this on the
 parent tree and on the change and compares the two with ``diff``.
@@ -119,13 +121,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def checks_digest(suite: str, seed: int) -> str:
+def checks_digest(suite: str, seed: int, workers: int = 1) -> str:
     """SHA-256 of the ``checks`` array of one ``verify`` report."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         with contextlib.redirect_stderr(io.StringIO()):
             cli.main(["verify", "--suite", suite, "--seed", str(seed),
-                      "--out", path])
+                      "--workers", str(workers), "--out", path])
         with open(path, "rb") as handle:
             document = handle.read()
     # the document ends with "checks":[...]}\n
@@ -224,7 +226,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="1234,0",
                         help="comma-separated verify seeds")
     args = parser.parse_args(argv)
-    for seed in (int(s) for s in args.seeds.split(",")):
+    seeds = [int(s) for s in args.seeds.split(",")]
+    for seed in seeds:
         print(f"verify {args.suite} seed={seed} checks "
               f"{checks_digest(args.suite, seed)}")
     for run_name, run in FLOW_RUNS:
@@ -233,6 +236,9 @@ def main(argv=None) -> int:
     if args.suite == "all":
         for line in (*library_digests(), *cli_digests()):
             print(line)
+        for seed in seeds:
+            print(f"verify all seed={seed} workers=2 checks "
+                  f"{checks_digest('all', seed, workers=2)}")
     return 0
 
 
