@@ -29,8 +29,6 @@ class ConvexPlaneBody:
     hp: np.ndarray
     hpp: np.ndarray
     support: Optional[TrigPolynomial] = None
-    v_boundary: Optional[np.ndarray] = None     # ambient potential on boundary
-    dv_normal: Optional[np.ndarray] = None      # its outward normal derivative
     label: str = "body"
 
     def __post_init__(self):
@@ -38,10 +36,6 @@ class ConvexPlaneBody:
             raise ValueError("m must be even and at least 8")
         for name in ("angles", "h", "hp", "hpp"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        for name in ("v_boundary", "dv_normal"):
-            arr = getattr(self, name)
-            if arr is not None:
-                object.__setattr__(self, name, _freeze(arr))
         radius = self.curvature_radius
         if np.any(radius <= 0.0):
             k = int(np.argmin(radius))
@@ -60,10 +54,6 @@ class ConvexPlaneBody:
     def d_angle(self) -> float:
         return 2.0 * math.pi / self.m
 
-    @property
-    def has_density(self) -> bool:
-        return self.v_boundary is not None and bool(np.any(self.v_boundary != 0.0))
-
     def normals(self) -> np.ndarray:
         return np.stack([np.cos(self.angles), np.sin(self.angles)], axis=1)
 
@@ -73,11 +63,8 @@ class ConvexPlaneBody:
         return self.h[:, None] * nu + self.hp[:, None] * nup
 
     def boundary_weight(self) -> np.ndarray:
-        """Weighted line element density wrt d(theta): exp(-V) (h + h'')."""
-        w = self.curvature_radius.copy()
-        if self.v_boundary is not None:
-            w = w * np.exp(-self.v_boundary)
-        return w
+        """Line element density wrt d(theta): h + h''."""
+        return self.curvature_radius
 
     def perimeter(self) -> float:
         return float(np.sum(self.boundary_weight())) * self.d_angle
@@ -87,12 +74,7 @@ class ConvexPlaneBody:
         return 0.5 * float(np.sum(self.h * self.curvature_radius)) * self.d_angle
 
     def mass(self) -> float:
-        """Enclosed weighted measure; only the Lebesgue case is supported."""
-        if self.has_density:
-            raise NotImplementedError(
-                "interior mass of a plane body with ambient density requires "
-                "interior data; supply a RadialBall for radial densities"
-            )
+        """Enclosed measure: plane bodies carry no potential."""
         return self.area()
 
     def recomputed_support(self) -> np.ndarray:
@@ -103,8 +85,6 @@ class ConvexPlaneBody:
 def build_plane_body(
     support: TrigPolynomial | tuple | list,
     m: int = 512,
-    v_boundary: Optional[np.ndarray] = None,
-    dv_normal: Optional[np.ndarray] = None,
     label: str = "body",
 ) -> ConvexPlaneBody:
     """Plane body from trig-polynomial support coefficients.
@@ -119,8 +99,7 @@ def build_plane_body(
     hp = support(angles, derivative=1)
     hpp = support(angles, derivative=2)
     return ConvexPlaneBody(m=m, angles=angles, h=h, hp=hp, hpp=hpp,
-                           support=support, v_boundary=v_boundary,
-                           dv_normal=dv_normal, label=label)
+                           support=support, label=label)
 
 
 def plane_body_from_samples(h: np.ndarray, label: str = "body") -> ConvexPlaneBody:
@@ -147,17 +126,11 @@ class RevolutionBody3D:
     s: np.ndarray
     r: np.ndarray
     z: np.ndarray
-    v3d: Optional[np.ndarray] = None         # axisymmetric potential on the surface
-    dv_normal: Optional[np.ndarray] = None
     label: str = "revolution"
 
     def __post_init__(self):
         for name in ("s", "r", "z"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        for name in ("v3d", "dv_normal"):
-            arr = getattr(self, name)
-            if arr is not None:
-                object.__setattr__(self, name, _freeze(arr))
         n = self.s.size
         if n < 33 or (n - 1) % 2 != 0:
             raise ValueError("profile needs an odd node count >= 33")
@@ -194,10 +167,6 @@ class RevolutionBody3D:
     def n_cells(self) -> int:
         return self.s.size - 1
 
-    @property
-    def has_density(self) -> bool:
-        return self.v3d is not None and bool(np.any(self.v3d != 0.0))
-
     def derivatives(self):
         h = self.h
         return diff1(self.r, h), diff1(self.z, h), diff2(self.r, h), diff2(self.z, h)
@@ -217,11 +186,8 @@ class RevolutionBody3D:
         return k1, k2
 
     def boundary_weight(self) -> np.ndarray:
-        """Weighted area element density wrt ds: 2 pi r exp(-V)."""
-        w = 2.0 * math.pi * self.r
-        if self.v3d is not None:
-            w = w * np.exp(-self.v3d)
-        return w
+        """Area element density wrt ds: 2 pi r."""
+        return 2.0 * math.pi * self.r
 
     def surface_area(self) -> float:
         return simpson_uniform(self.boundary_weight(), self.h)
@@ -232,10 +198,7 @@ class RevolutionBody3D:
         return math.pi * simpson_uniform(self.r**2 * (-zp), self.h)
 
     def mass(self) -> float:
-        if self.has_density:
-            raise NotImplementedError(
-                "interior mass with density is not supported for revolution bodies"
-            )
+        """Enclosed measure: revolution bodies carry no potential."""
         return self.volume()
 
     def gauss_curvature_intrinsic(self) -> np.ndarray:

@@ -585,8 +585,6 @@ def weingarten_waves(members, t_end: float, dt: float,
         theta = InverseDimension(0.5, n_ambient=2)
     starts = []
     for body, phi0 in members:
-        if body.has_density:
-            raise NotImplementedError("Weingarten wave assumes zero potential")
         phi_vals = _phi_samples(body.angles, phi0)
         if np.min(phi_vals) <= 0.0:
             raise ValueError("initial speed must be positive")

@@ -395,14 +395,8 @@ def check_dual_colesanti(body: ConvexPlaneBody, f, rho: float = 0.0,
             f"min H_mu = {np.min(geom.H_mu):.3e} on {body.label}"
         )
     fvals, fs = _curve_data(body, fn)
-    r = body.curvature_radius
-    # weighted boundary Laplacian along the curve: f_ss - V_s f_s
-    fss = spectral_diff(fs, 1) / r
-    if body.v_boundary is not None:
-        vs = spectral_diff(body.v_boundary, 1) / r
-        lf = fss - vs * fs
-    else:
-        lf = fss
+    # the boundary Laplacian along the curve is f_ss (no potential)
+    lf = spectral_diff(fs, 1) / body.curvature_radius
     lhs = weighted_integral(geom.II * fs**2, body)
     if rho == 0.0:
         c_used = 0.0 if C == "auto" else float(C)
@@ -470,8 +464,8 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0):
     """Spectral-gap lower bounds on the boundary of a convex body.
 
     Computes lambda_1 of the boundary weighted Laplacian and checks the
-    sigma*xi bound, its CD(rho,0) refinement, and (for revolution bodies
-    with zero potential, n = 3) the pointwise curvature-splitting bounds.
+    sigma*xi bound, its CD(rho,0) refinement, and (for revolution bodies,
+    n = 3) the pointwise curvature-splitting bounds.
     The product diagnostic lambda_1 * avg(1/H) * avg(1/sigma) involves an
     unnamed universal constant, so it is reported without pass/fail.
     """
@@ -507,7 +501,7 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0):
         ),
     ]
     barea = weighted_integral(np.ones_like(geom.H_g), body)
-    if isinstance(body, RevolutionBody3D) and not body.has_density:
+    if isinstance(body, RevolutionBody3D):
         n = 3
         pointwise = (geom.H_g - geom.II) * geom.II
         lich = (n - 1) / (n - 2) * float(np.min(pointwise))
@@ -522,11 +516,7 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0):
         ))
     # unknown universal constant: ratio reported, never pass/fail
     avg_invh = weighted_integral(1.0 / geom.H_mu, body) / barea
-    if isinstance(body, RevolutionBody3D):
-        sig_field = np.minimum(geom.kappa1, geom.kappa2)
-        avg_invsig = weighted_integral(1.0 / sig_field, body) / barea
-    else:
-        avg_invsig = weighted_integral(1.0 / geom.II, body) / barea
+    avg_invsig = weighted_integral(1.0 / geom.II, body) / barea
     out.append(from_inequality(
         "boundary-gap-product-ratio", lhs=lam * avg_invh * avg_invsig,
         rhs=1.0, tolerance=0.0,
@@ -547,10 +537,6 @@ def boundary_cd_report(body: RevolutionBody3D, rho_ambient: float = 0.0,
     rho - kappa + (n-2) sigma^2 and its log-Sobolev Poincare consequence
     on the boundary spectral gap.  Flat ambient with zero potential.
     """
-    if body.has_density:
-        raise NotImplementedError(
-            "boundary CD transfer is implemented for zero surface potential"
-        )
     n = 3
     if theta is None:
         theta = InverseDimension(1.0 / n, n_ambient=n)

@@ -9,8 +9,8 @@ sqrt(m) makes the matrix exactly symmetric, and Neumann walls enter as
 zero boundary fluxes (the ghost-node reflection of the half end cells),
 so the operator annihilates constants to machine precision.  Closed
 curves use the trigonometric differentiation matrix D in the factored
-form diag(e^V / r) D diag(e^{-V} / r) D, which is exactly symmetrizable
-because D is antisymmetric.
+form diag(1/r) D diag(1/r) D, which is exactly symmetrizable because D
+is antisymmetric.
 
 On an even periodic grid D annihilates the alternating (Nyquist) vector
 as well as constants, so the factored operator carries one inert extra
@@ -128,12 +128,6 @@ class DiscreteOperator:
         return s - shift * np.outer(q, q)
 
 
-def _interval_flux_data(model: IntervalModel):
-    h = model.h
-    b_face = np.exp(-0.5 * (model.V[:-1] + model.V[1:]))
-    return h, b_face
-
-
 def assemble_laplacian(model, bc: str) -> DiscreteOperator:
     """Assemble L = Delta - <grad V, grad .> for a model or a closed boundary.
 
@@ -147,7 +141,8 @@ def assemble_laplacian(model, bc: str) -> DiscreteOperator:
             raise ValueError(f"interval operator needs neumann/dirichlet, got {bc}")
         if model.n_pts < 8:
             raise ValueError("operator assembly requires n_pts >= 8")
-        h, b_face = _interval_flux_data(model)
+        h = model.h
+        b_face = np.exp(-0.5 * (model.V[:-1] + model.V[1:]))
         n = model.n_pts
         w = np.full(n, h)
         w[0] = w[-1] = h / 2.0
@@ -169,12 +164,9 @@ def assemble_laplacian(model, bc: str) -> DiscreteOperator:
         m = model.m
         if m < 8:
             raise ValueError("operator assembly requires at least 8 samples")
-        r = model.curvature_radius
-        ev = (np.exp(model.v_boundary) if model.v_boundary is not None
-              else np.ones(m))
+        inv_r = 1.0 / model.curvature_radius
         d1 = fourier_diff_matrix(m)
-        inner = d1 * (1.0 / (ev * r))[:, None]      # diag(e^{-V}/r) D
-        dense = (ev / r)[:, None] * (d1 @ inner)    # diag(e^{V}/r) D (...)
+        dense = inv_r[:, None] * (d1 @ (d1 * inv_r[:, None]))
         weights = model.boundary_weight() * model.d_angle
         return DiscreteOperator(
             kind="periodic", bc=PERIODIC, n=m, weights=weights,
@@ -191,13 +183,12 @@ def _revolution_mode_operators(body: RevolutionBody3D, m_max: int):
     """Sturm-Liouville operators of the boundary Laplacian per azimuthal mode.
 
     Unknowns sit at the cell centers of the profile grid (never at the
-    poles); the face fluxes r exp(-V) vanish at the poles, which is the
-    natural regularity condition.
+    poles); the face fluxes r vanish at the poles, which is the natural
+    regularity condition.
     """
     h = body.h
     n = body.n_cells
-    ev_face = np.exp(-body.v3d) if body.v3d is not None else np.ones(n + 1)
-    flux = body.r * ev_face                      # at faces; zero at poles
+    flux = body.r                                # at faces; zero at poles
     r_center = 0.5 * (body.r[:-1] + body.r[1:])
     w_center = h * 0.5 * (flux[:-1] + flux[1:])  # cell measure density wrt ds
     ops = []
@@ -224,6 +215,26 @@ def _check_count(op: DiscreteOperator, count: int, spare: int = 0) -> None:
         raise ValueError(f"count must lie in 1..{size}, got {count!r}")
 
 
+def _eigh(op: DiscreteOperator, last: int, vectors: bool = False):
+    """Eigenvalues 0..last of -S, S the symmetric form of L (Dirichlet:
+    interior nodes only), ascending; with `vectors`, also the eigenvectors
+    of -S as columns."""
+    from scipy.linalg import eigh, eigh_tridiagonal
+    try:
+        if op.kind == "periodic":
+            # the deflated alternating mode sits at the top of -S, never
+            # inside the leading subset
+            return eigh(-op.deflated_symmetric(), eigvals_only=not vectors,
+                        subset_by_index=[0, last])
+        diag, off = op.symmetric_form()
+        if op.bc == DIRICHLET:
+            diag, off = diag[1:-1], off[1:-1]
+        return eigh_tridiagonal(-diag, -off, eigvals_only=not vectors,
+                                select="i", select_range=(0, last))
+    except LinAlgError as exc:  # pragma: no cover - grid pathology
+        raise ConvergenceFailure(f"eigensolve failed on {op.model_ref}") from exc
+
+
 def spectral_gap(op: DiscreteOperator, count: int = 1):
     """Smallest positive eigenvalue of -L and its eigenvector.
 
@@ -233,28 +244,9 @@ def spectral_gap(op: DiscreteOperator, count: int = 1):
     The eigenvector is normalized in the weighted norm and returned on
     the full grid.
     """
-    from scipy.linalg import eigh, eigh_tridiagonal
     _check_count(op, count, spare=1)
-    try:
-        if op.kind == "periodic":
-            # the deflated alternating mode sits at the top of -S, never
-            # inside the leading subset
-            s = -op.deflated_symmetric()
-            vals, vecs = eigh(s, subset_by_index=[0, count])
-            idx = 1
-        elif op.bc == DIRICHLET:
-            diag, off = op.symmetric_form()
-            vals, vecs = eigh_tridiagonal(-diag[1:-1], -off[1:-1],
-                                          select="i",
-                                          select_range=(0, count))
-            idx = 0
-        else:
-            diag, off = op.symmetric_form()
-            vals, vecs = eigh_tridiagonal(-diag, -off, select="i",
-                                          select_range=(0, count))
-            idx = 1
-    except LinAlgError as exc:  # pragma: no cover - grid pathology
-        raise ConvergenceFailure(f"eigensolve failed on {op.model_ref}") from exc
+    vals, vecs = _eigh(op, count, vectors=True)
+    idx = 0 if op.bc == DIRICHLET else 1
     lam = float(vals[idx])
     phi = vecs[:, idx]
     if op.bc == DIRICHLET:
@@ -268,16 +260,8 @@ def spectral_gap(op: DiscreteOperator, count: int = 1):
 
 def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
     """Leading eigenvalues of -L (ascending), including any zero mode."""
-    from scipy.linalg import eigh, eigh_tridiagonal
     _check_count(op, count)
-    if op.kind == "periodic":
-        s = -op.deflated_symmetric()
-        return eigh(s, eigvals_only=True, subset_by_index=[0, count - 1])
-    diag, off = op.symmetric_form()
-    if op.bc == DIRICHLET:
-        diag, off = diag[1:-1], off[1:-1]
-    return eigh_tridiagonal(-diag, -off, eigvals_only=True, select="i",
-                            select_range=(0, count - 1))
+    return _eigh(op, count - 1)
 
 
 def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
@@ -390,15 +374,14 @@ class BoundaryGeometry:
 
     For curves II is the scalar curvature; for revolution surfaces the
     two principal curvatures are kept separately and II reports their
-    minimum.  `element` is the weighted line/area density against the
-    sample parameter, matching weighted_integral's convention.
+    minimum.  Convex bodies and caps carry no potential, so on them
+    H_mu = H_g; a radial ball's H_mu includes its potential's normal
+    derivative.
     """
 
-    nu: np.ndarray
     II: np.ndarray
     H_g: np.ndarray
     H_mu: np.ndarray
-    element: np.ndarray
     kappa1: Optional[np.ndarray] = None
     kappa2: Optional[np.ndarray] = None
 
@@ -414,41 +397,24 @@ class BoundaryGeometry:
 
 
 def boundary_geometry(body) -> BoundaryGeometry:
-    """Extract nu, II, H_g, H_mu and the weighted element for a body."""
+    """Extract II, H_g and H_mu (and the principal curvatures) of a body."""
     if isinstance(body, ConvexPlaneBody):
-        radius = body.curvature_radius
-        curv = 1.0 / radius
-        dvn = body.dv_normal if body.dv_normal is not None else 0.0
-        return BoundaryGeometry(
-            nu=body.normals(), II=curv, H_g=curv.copy(),
-            H_mu=curv - dvn, element=body.boundary_weight(),
-        )
+        curv = 1.0 / body.curvature_radius
+        return BoundaryGeometry(II=curv, H_g=curv.copy(), H_mu=curv.copy())
     if isinstance(body, RevolutionBody3D):
         k1, k2 = body.principal_curvatures()
-        rp, zp, _, _ = body.derivatives()
-        nu = np.stack([-zp, rp], axis=1)          # (radial, axial) components
         hg = k1 + k2
-        dvn = body.dv_normal if body.dv_normal is not None else 0.0
-        return BoundaryGeometry(
-            nu=nu, II=np.minimum(k1, k2), H_g=hg, H_mu=hg - dvn,
-            element=body.boundary_weight(), kappa1=k1, kappa2=k2,
-        )
+        return BoundaryGeometry(II=np.minimum(k1, k2), H_g=hg, H_mu=hg.copy(),
+                                kappa1=k1, kappa2=k2)
     if isinstance(body, RadialBall):
         n, rr = body.n_ambient, body.r_outer
-        curv = 1.0 / rr
-        hg = (n - 1) / rr
-        hmu = body.boundary_h_mu()
-        one = np.ones(1)
-        return BoundaryGeometry(
-            nu=one.copy(), II=np.array([curv]), H_g=np.array([hg]),
-            H_mu=np.array([hmu]), element=np.array([body.boundary_measure()]),
-        )
+        return BoundaryGeometry(II=np.array([1.0 / rr]),
+                                H_g=np.array([(n - 1) / rr]),
+                                H_mu=np.array([body.boundary_h_mu()]))
     if isinstance(body, SphereCap):
         kg = body.geodesic_curvature()
-        return BoundaryGeometry(
-            nu=np.ones(1), II=np.array([kg]), H_g=np.array([kg]),
-            H_mu=np.array([kg]), element=np.array([body.boundary_length()]),
-        )
+        return BoundaryGeometry(II=np.array([kg]), H_g=np.array([kg]),
+                                H_mu=np.array([kg]))
     raise TypeError(f"no boundary geometry for {type(body).__name__}")
 
 
@@ -461,20 +427,11 @@ def boundary_gap_revolution(body: RevolutionBody3D):
     excluding the constant mode of the axisymmetric block.  Returns
     (lambda_1, mode).
     """
-    from scipy.linalg import eigh_tridiagonal
     ops = _revolution_mode_operators(body, AZIMUTHAL_MODES)
     best = math.inf
     best_mode = -1
     for mode, op in enumerate(ops):
-        diag, off = op.symmetric_form()
-        try:
-            take = 1 if mode == 0 else 0
-            vals = eigh_tridiagonal(-diag, -off, eigvals_only=True,
-                                    select="i", select_range=(0, take))
-        except LinAlgError as exc:  # pragma: no cover
-            raise ConvergenceFailure(
-                f"mode {mode} eigensolve failed on {body.label}") from exc
-        lam = float(vals[-1])
+        lam = float(_eigh(op, 1 if mode == 0 else 0)[-1])
         if lam < best:
             best, best_mode = lam, mode
     return best, best_mode

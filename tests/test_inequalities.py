@@ -342,10 +342,14 @@ def test_dual_colesanti_quadratic_scaling():
     assert scaled.slack == pytest.approx(9.0 * base.slack, rel=1e-10)
 
 
-def test_dual_colesanti_rejects_nonconvex_mean():
-    from reilly_lab.bodies import build_plane_body
-    body = build_plane_body(TrigPolynomial.constant(1.0), m=128,
-                            dv_normal=np.full(128, 5.0))   # H_mu = 1 - 5 < 0
+def test_dual_colesanti_rejects_nonconvex_mean(monkeypatch):
+    from reilly_lab import inequalities
+    from reilly_lab.operators import BoundaryGeometry
+    body = disk_body(m=128)
+    ones = np.ones(128)
+    monkeypatch.setattr(inequalities, "boundary_geometry",
+                        lambda _: BoundaryGeometry(II=ones, H_g=ones,
+                                                   H_mu=1.0 - 5.0 * ones))
     with pytest.raises(MeanConvexityViolation):
         check_dual_colesanti(body, TrigPolynomial((0.0, 1.0)))
 

@@ -182,6 +182,15 @@ def test_boundary_geometry_sphere_and_ball():
     assert ball.H_mu[0] == pytest.approx(1.0)
 
 
+def test_revolution_ii_and_plane_weight_are_bitwise_their_formulas():
+    # check_boundary_gaps integrates 1/II for a revolution body's sigma
+    # field, and bodies carry no potential in their boundary measure
+    geom = boundary_geometry(spheroid_body(1.0, 1.2, 256))
+    assert np.array_equal(geom.II, np.minimum(geom.kappa1, geom.kappa2))
+    body = ellipse_body(m=64)
+    assert np.array_equal(body.boundary_weight(), body.h + body.hpp)
+
+
 def test_revolution_gap_sphere_scaling():
     lam1, mode1 = boundary_gap_revolution(sphere_body(1.0, 1024))
     assert abs(lam1 - 2.0) <= 1e-4

@@ -53,3 +53,11 @@ def test_cli_lines_cover_every_sweep_check_and_flow_kind():
                      for name, *_ in tool.SWEEP_RUNS + tool.CLI_FLOW_RUNS}
     assert sum(line.startswith("cli-flow ") and " csv " in line
                for line in lines) == len(tool.CLI_FLOW_RUNS)
+
+
+def test_lib_lines_never_hash_a_summarized_array_repr():
+    # repr of a long array elides its middle as "...", so a digest of it
+    # would miss changes there; arrays must be hashed through their bytes
+    tool = _load_tool()
+    for name, result in (*tool.library_results(), *tool.boundary_results()):
+        assert b"..." not in tool.library_bytes(result), name

@@ -23,9 +23,13 @@ The lines are:
   ``reilly-lab sweep`` runs (every check and swept parameter, both cases,
   N = inf, and two configuration errors), and ``cli-flow <run>
   exit=<code> <sha>`` plus ``cli-flow <run> csv <sha>`` for the report
-  and trajectory CSV of one ``reilly-lab flow`` run of each kind; last,
+  and trajectory CSV of one ``reilly-lab flow`` run of each kind; then
   ``verify all seed=<n> workers=2 checks <sha>`` per seed, the same
-  digest as the ``verify`` line above it with two worker processes.
+  digest as the ``verify`` line above it with two worker processes;
+  last, more ``lib`` lines for the boundary layer: a periodic operator
+  matrix and spectrum, a Dirichlet eigenvector, the boundary geometry of
+  four bodies, a dual Colesanti check and the spheroid's boundary CD
+  records.
 
 A change meant to keep every output byte-identical runs this on the
 parent tree and on the change and compares the two with ``diff``.
@@ -48,13 +52,15 @@ import numpy as np
 from reilly_lab import cli, flows
 from reilly_lab.checks import CheckReport
 from reilly_lab.dimension import InverseDimension
-from reilly_lab.inequalities import TestFunction, check_bln
+from reilly_lab.inequalities import (TestFunction, boundary_cd_report,
+                                     check_bln, check_dual_colesanti)
 from reilly_lab.models import build_model_density
 from reilly_lab.operators import (assemble_laplacian, boundary_gap_revolution,
-                                  eigenvalues)
+                                  boundary_geometry, eigenvalues, spectral_gap)
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
-                                gaussian_ball, gaussian_model,
-                                model_density_params, spheroid_body)
+                                gaussian_ball, gaussian_half_model,
+                                gaussian_model, model_density_params,
+                                spheroid_body)
 from reilly_lab.reilly import cd_margin, gamma2_residual, reilly_residual
 from reilly_lab.reporting import check_to_json, flow_csv
 from reilly_lab.trig import TrigPolynomial
@@ -177,15 +183,44 @@ def library_results():
         assemble_laplacian(spheroid, "neumann"), 5)
 
 
-def library_digests():
-    for name, result in library_results():
-        if isinstance(result, CheckReport):
-            data = check_to_json(result).encode()
-        elif isinstance(result, np.ndarray):
-            data = result.tobytes()
-        else:
-            data = repr(result).encode()
-        yield f"lib {name} {_sha(data)}"
+def boundary_results():
+    """(call, result) of the operators, boundary geometry and boundary
+    checks of plane bodies and revolution surfaces, arrays included."""
+    spheroid = spheroid_body(1.0, 1.2, 256)
+    yield "laplacian-ellipse-m64", assemble_laplacian(
+        ellipse_body(m=64), "periodic").dense
+    _, vector = spectral_gap(assemble_laplacian(gaussian_half_model(401),
+                                                "dirichlet"))
+    yield "gap-vector-gauss-half-dirichlet", vector
+    yield "eigenvalues-disk-m64", eigenvalues(
+        assemble_laplacian(disk_body(m=64), "periodic"), 7)
+    for name, body in (("disk-m64", disk_body(m=64)),
+                       ("ellipse-m64", ellipse_body(m=64)),
+                       ("spheroid", spheroid),
+                       ("gauss-ball", gaussian_ball(2, 0.8, 401))):
+        geom = boundary_geometry(body)
+        for field in ("II", "H_g", "H_mu", "kappa1", "kappa2"):
+            if getattr(geom, field) is not None:
+                yield f"geometry-{name}-{field}", getattr(geom, field)
+    yield "dual-colesanti-ellipse-auto", check_dual_colesanti(
+        ellipse_body(m=128), TrigPolynomial((0.0, 1.0, 0.3)), rho=1.0,
+        C="auto")
+    for report in boundary_cd_report(spheroid):
+        yield f"cd-report-spheroid-{report.name}", report
+
+
+def library_bytes(result) -> bytes:
+    """The bytes a ``lib`` line hashes."""
+    if isinstance(result, CheckReport):
+        return check_to_json(result).encode()
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    return repr(result).encode()
+
+
+def library_digests(results):
+    for name, result in results:
+        yield f"lib {name} {_sha(library_bytes(result))}"
 
 
 def _run_cli(argv):
@@ -234,11 +269,13 @@ def main(argv=None) -> int:
         for field, digest in flow_digests(run()):
             print(f"flow {run_name} {field} {digest}")
     if args.suite == "all":
-        for line in (*library_digests(), *cli_digests()):
+        for line in (*library_digests(library_results()), *cli_digests()):
             print(line)
         for seed in seeds:
             print(f"verify all seed={seed} workers=2 checks "
                   f"{checks_digest('all', seed, workers=2)}")
+        for line in library_digests(boundary_results()):
+            print(line)
     return 0
 
 
