@@ -28,8 +28,8 @@ from .flows import (ConcavitySeries, FlowResult, FlowState, QuermassTriple,
                     concavity_check, geodesic_extension_measure,
                     isoperimetric_checks, latitude_circle,
                     minkowski_sum_support, parallel_normal_flow,
-                    quermassintegrals, weingarten_wave,
-                    weingarten_waves)
+                    parallel_normal_flows, quermassintegrals,
+                    weingarten_wave, weingarten_waves)
 from .inequalities import (TestFunction, boundary_cd_report, check_bln,
                            check_boundary_gaps, check_colesanti,
                            check_dual_colesanti, check_lichnerowicz,
@@ -60,7 +60,7 @@ __all__ = [
     "check_mean_curvature", "check_veysseire", "concavity_check",
     "gamma2_residual", "geodesic_extension_measure", "isoperimetric_checks",
     "latitude_circle", "minkowski_sum_support", "parallel_normal_flow",
-    "quermassintegrals", "reilly_residual", "sharpness_ratio",
-    "solve_poisson", "spectral_gap", "weighted_integral", "weingarten_wave",
-    "weingarten_waves",
+    "parallel_normal_flows", "quermassintegrals", "reilly_residual",
+    "sharpness_ratio", "solve_poisson", "spectral_gap", "weighted_integral",
+    "weingarten_wave", "weingarten_waves",
 ]

@@ -31,7 +31,8 @@ from .checks import CheckReport, from_inequality, inequality_tolerance
 from .dimension import InverseDimension
 from .errors import CapOverflow, ConvexityViolation
 from .inequalities import TestFunction
-from .numerics import periodic_diff1, periodic_diff2, spectral_diff
+from .numerics import periodic_diff1, periodic_diff12, spectral_diff
+from .numerics import periodic_diff2  # noqa: F401  (the 2-D reference kernels)
 from .operators import boundary_geometry, weighted_integral
 from .trig import TrigPolynomial
 
@@ -198,8 +199,7 @@ def quermassintegrals(body, theta: InverseDimension):
 
 def _plane_geometry(points: np.ndarray, hy: float):
     """(speed, tau, nu, kappa) of (m, 2) markers or an (m, B, 2) batch."""
-    py = periodic_diff1(points, hy)
-    pyy = periodic_diff2(points, hy)
+    py, pyy = periodic_diff12(points, hy)
     speed = np.hypot(py[..., 0], py[..., 1])
     tau = py / speed[..., None]
     nu = np.empty_like(tau)                          # outward for CCW curves
@@ -317,8 +317,7 @@ def _norm3(v: np.ndarray) -> np.ndarray:
 
 
 def _sphere_geometry(x: np.ndarray, hy: float):
-    xy = periodic_diff1(x, hy)
-    xyy = periodic_diff2(x, hy)
+    xy, xyy = periodic_diff12(x, hy)
     speed = _norm3(xy)
     tau = xy / speed[:, None]
     (t0, t1, t2), (x0, x1, x2) = tau.T, x.T     # tau x X as np.cross forms it
@@ -357,25 +356,29 @@ def _renorm(x: np.ndarray) -> np.ndarray:
 
 def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
               snapshot_every, theta, nonfinite,
-              project=lambda z: z, reject=None, watch=None):
-    """Integrate dy/dt = rhs(y, g) with classical fixed-step RK4.
+              project=lambda z: z, reject=None, watch=None, aux=()):
+    """Integrate dy/dt = rhs(y, g, *aux) with classical fixed-step RK4.
 
     y is one member's state with markers on axis 0, (m, k), or a batch
-    (m, B, k) of members that share m, dt and the step count.
+    (m, B, k) of members that share m, dt and the step count; aux holds
+    per-member constants, members on axis 1 in a batch.
     g = geometry(y) starts with (speed, tau, nu, kappa) and is evaluated
     once per state: a candidate's geometry decides its acceptance, then
-    serves as the next step's first stage.  view(y) gives a snapshot's
-    (points, phi), phi0 the initial speed, mass(y, g) the series measure.
-    project maps stages back onto the constraint manifold, reject(k, y)
-    may veto step k and watch(y_prev, g_prev, y, g) sees accepted steps.
-    A candidate whose mass is not finite and positive ends the run as
-    "measure-loss".
-    For a batch, mass and reject answer per member, and every check acts
-    per member: a member that breaks down gets its death snapshot at its
-    last accepted time and leaves the batch by column selection, so the
+    serves as the next step's first stage.  view(y, *aux) gives a
+    snapshot's (points, phi), phi0 the initial speed, mass(y, g) the
+    series measure.  project maps stages back onto the constraint
+    manifold, reject(k, y) may veto one member's step k and
+    watch(y_prev, g_prev, y, g, ids) sees the accepted steps of the
+    members ids.  A candidate whose mass is not finite and positive ends
+    the run as "measure-loss".
+    For a batch, mass answers per member and every check acts per member:
+    a member that breaks down gets its death snapshot at its last accepted
+    time and leaves the batch by column selection, with its aux, so the
     others keep the arithmetic, and the bits, of their solo runs.
     Returns one (FlowResult (diagnostics m, dt), last state) per member.
     """
+    if theta is None:
+        theta = InverseDimension(0.5, n_ambient=2)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if snapshot_every < 1:
@@ -385,12 +388,14 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     col = (lambda a, c: a[:, c]) if batched else (lambda a, c: a)
     each = (lambda v: v) if batched else (lambda v: (v,))  # per-member values
     marker_axes = (0, 2) if batched else None
+    pick = lambda a, cols: (a[:, cols] if isinstance(a, np.ndarray)
+                            else tuple(b[:, cols] for b in a))
     ids = list(range(y.shape[1] if batched else 1))  # member per column
     states = [[] for _ in ids]
     reasons, last = [None] * len(ids), [None] * len(ids)
 
     def snapshot(t, cols, phi=None, alive=True):
-        points, phi_now = view(y)
+        points, phi_now = view(y, *aux)
         phi = phi_now if phi is None else phi
         for c in cols:
             states[ids[c]].append(FlowState(
@@ -402,29 +407,25 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     times = [0.0]
     masses = [[value] for value in each(mass(y, g))]
     for k in range(steps):
-        k1 = rhs(y, g)
+        k1 = rhs(y, g, *aux)
         stage = project(y + 0.5 * dt * k1)
-        k2 = rhs(stage, geometry(stage))
+        k2 = rhs(stage, geometry(stage), *aux)
         stage = project(y + 0.5 * dt * k2)
-        k3 = rhs(stage, geometry(stage))
+        k3 = rhs(stage, geometry(stage), *aux)
         stage = project(y + dt * k3)
-        k4 = rhs(stage, geometry(stage))
+        k4 = rhs(stage, geometry(stage), *aux)
         candidate = project(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         g_next = geometry(candidate)
         finite = each(np.isfinite(candidate).all(axis=marker_axes))
         floor = each(np.min(g_next[3], axis=0) <= KAPPA_FLOOR)
         why = [nonfinite if not ok else "curvature-floor" if low else None
                for ok, low in zip(finite, floor)]
-        if reject is not None and None in why:
-            vetoes = each(reject(k, candidate))
-            why = [w or ("self-intersection" if veto else None)
-                   for w, veto in zip(why, vetoes)]
+        if reject is not None:
+            why = [w or ("self-intersection" if reject(k, col(candidate, c))
+                         else None) for c, w in enumerate(why)]
         ok = [c for c, w in enumerate(why) if w is None]
-        if len(ok) == len(ids):
-            values = mass(candidate, g_next)
-        else:                                # only members still alive
-            values = (mass(candidate[:, ok], tuple(a[:, ok] for a in g_next))
-                      if ok else [])
+        values = (mass(candidate, g_next) if len(ok) == len(ids) else
+                  mass(candidate[:, ok], pick(g_next, ok)) if ok else [])
         for c, value in zip(ok, each(values)):
             if math.isfinite(value) and value > 0.0:
                 masses[ids[c]].append(value)
@@ -438,11 +439,11 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
                 reasons[ids[c]], last[ids[c]] = why[c], col(y, c).copy()
             if not live:
                 break
-            y, candidate = y[:, live], candidate[:, live]
-            g, g_next = (tuple(a[:, live] for a in h) for h in (g, g_next))
+            y, candidate, g, g_next, aux = (
+                pick(a, live) for a in (y, candidate, g, g_next, aux))
             ids = [ids[c] for c in live]
         if watch is not None:
-            watch(y, g, candidate, g_next)
+            watch(y, g, candidate, g_next, ids)
         y, g = candidate, g_next
         times.append((k + 1) * dt)
         if (k + 1) % snapshot_every == 0 or k == steps - 1:
@@ -477,65 +478,93 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
     a self-intersection or the loss of positive enclosed measure ended
     the run early.
     """
-    if theta is None:
-        theta = InverseDimension(0.5, n_ambient=2)
-    on_sphere = isinstance(initial, SphereCurve)
-    if isinstance(initial, ConvexPlaneBody):
-        hy = initial.d_angle
-        y = initial.points()
-        phi_vals = _phi_samples(initial.angles, phi)
+    if not isinstance(initial, (ConvexPlaneBody, SphereCurve)):
+        raise TypeError(type(initial).__name__)
+    return _pnf_runs([(initial, phi)], t_end, dt, snapshot_every,
+                     intersect_every, theta)[0]
+
+
+def parallel_normal_flows(members, t_end: float, dt: float,
+                          snapshot_every: int = 10) -> list[FlowResult]:
+    """parallel_normal_flow of each (plane body, phi) pair, integrated as
+    one batch of bodies that share m.  Each result has the bytes of the
+    member's own run: a member that dies leaves the batch, and the others
+    go on."""
+    members = list(members)
+    if (not members or len({body.m for body, _ in members}) != 1 or not
+            all(isinstance(body, ConvexPlaneBody) for body, _ in members)):
+        raise ValueError("batched flows need at least one plane body, and "
+                         "the bodies must share m")
+    return _pnf_runs(members, t_end, dt, snapshot_every, 25, None)
+
+
+def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every, theta):
+    """Parallel normal flows of plane bodies sharing m, or of one sphere."""
+    on_sphere = isinstance(members[0][0], SphereCurve)
+    hy = 2.0 * math.pi / members[0][0].m
+    starts = [(body.points, _phi_samples(np.arange(body.m) * hy, phi))
+              if on_sphere else (body.points(), _phi_samples(body.angles, phi))
+              for body, phi in members]
+    if on_sphere:
+        geometry = lambda x: _sphere_geometry(x, hy)
+        project, reject = _renorm, None
+        first = {"area_estimator_gap": 0.0}
+    else:
         geometry = lambda x: _plane_geometry(x, hy)
-        mass = lambda x, g: polyline_area(x, hy)
         project = lambda x: x
         reject = lambda k, x: (intersect_every > 0 and (k + 1)
                                % intersect_every == 0 and self_intersects(x))
-        diagnostics = {"steps_run": 0, "max_step_drift": 0.0}
-    elif on_sphere:
-        hy = 2.0 * math.pi / initial.m
-        y = initial.points
-        phi_vals = _phi_samples(np.arange(initial.m) * hy, phi)
-        geometry = lambda x: _sphere_geometry(x, hy)
-        mass = lambda x, g: _sphere_areas(x, g, hy)[0]
-        project, reject = _renorm, None
-        diagnostics = {"area_estimator_gap": 0.0, "max_step_drift": 0.0}
-    else:
-        raise TypeError(type(initial).__name__)
+        first = {"steps_run": 0}
+    y, phi_vals = (starts[0] if len(starts) == 1 else
+                   (np.stack(a, axis=1) for a in zip(*starts)))
     g = geometry(y)
     if np.min(g[3]) <= KAPPA_FLOOR:
         raise ConvexityViolation(f"initial {'sphere ' if on_sphere else ''}"
                                  "curve is not strictly convex")
-    phi_y = periodic_diff1(phi_vals, hy)     # phi is fixed per trajectory
-    drift = 0.0
+    diagnostics = [{**first, "max_step_drift": 0.0} for _ in members]
+    drift, areas = [0.0] * len(members), [None]
 
-    def rhs(x, g):
+    def rhs(x, g, phi_vals, phi_y):
         speed, tau, nu, kappa = g[:4]
-        vel = phi_vals[:, None] * nu + (phi_y / speed / kappa)[:, None] * tau
+        vel = (phi_vals[..., None] * nu
+               + (phi_y / speed / kappa)[..., None] * tau)
         if on_sphere:        # tangent projection
             vel -= np.einsum("ij,ij->i", vel, x)[:, None] * x
         return vel
 
-    def watch(x_prev, g_prev, x, g):
-        nonlocal drift
-        if on_sphere:
-            gb, band = _sphere_areas(x, g, hy)
-            diagnostics["area_estimator_gap"] = max(
-                diagnostics["area_estimator_gap"], abs(gb - band))
-            moved = g[2] - _parallel_transport(g_prev[2], x_prev, x)
-            step_drift = float(np.max(_norm3(moved)))
-        else:
-            diagnostics["steps_run"] += 1
-            step_drift = float(np.max(np.hypot(*(g[2] - g_prev[2]).T)))
-        drift += step_drift
-        diagnostics["max_step_drift"] = max(diagnostics["max_step_drift"],
-                                            step_drift)
+    def mass(x, g):
+        if not on_sphere:
+            return polyline_area(x, hy)
+        areas[0] = _sphere_areas(x, g, hy)   # watch reads the same areas
+        return areas[0][0]
 
-    [(result, _)] = _rk4_flow(
-        y, g, geometry, rhs, lambda x: (x, phi_vals), mass, phi_vals, t_end,
-        dt, snapshot_every, theta, "curvature-floor",
-        project=project, reject=reject, watch=watch)
-    result.normal_drift = drift
-    result.diagnostics.update(diagnostics)
-    return result
+    def watch(x_prev, g_prev, x, g, ids):
+        if on_sphere:
+            gb, band = areas[0]
+            diagnostics[0]["area_estimator_gap"] = max(
+                diagnostics[0]["area_estimator_gap"], abs(gb - band))
+            step = np.max(_norm3(
+                g[2] - _parallel_transport(g_prev[2], x_prev, x)))
+        else:
+            moved = g[2] - g_prev[2]
+            step = np.max(np.hypot(moved[..., 0], moved[..., 1]), axis=0)
+        for member, step_drift in zip(ids, np.atleast_1d(step).tolist()):
+            record = diagnostics[member]
+            if not on_sphere:
+                record["steps_run"] += 1
+            drift[member] += step_drift
+            record["max_step_drift"] = max(record["max_step_drift"],
+                                           step_drift)
+
+    runs = _rk4_flow(
+        y, g, geometry, rhs, lambda x, phi_vals, _: (x, phi_vals), mass,
+        phi_vals, t_end, dt, snapshot_every, theta, "curvature-floor",
+        project=project, reject=reject, watch=watch,
+        aux=(phi_vals, periodic_diff1(phi_vals, hy)))
+    for (result, _), record, member_drift in zip(runs, diagnostics, drift):
+        result.normal_drift = member_drift
+        result.diagnostics.update(record)
+    return [result for result, _ in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +610,6 @@ def weingarten_waves(members, t_end: float, dt: float,
     if not members or len({body.m for body, _ in members}) != 1:
         raise ValueError("batched waves need at least one body, and the "
                          "bodies must share m")
-    if theta is None:
-        theta = InverseDimension(0.5, n_ambient=2)
     starts = []
     for body, phi0 in members:
         phi_vals = _phi_samples(body.angles, phi0)

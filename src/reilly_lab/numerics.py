@@ -74,27 +74,32 @@ def _wrap_pad(y: np.ndarray) -> np.ndarray:
     return y.take(_wrap_index(y.shape[0]), axis=0)
 
 
+def _diff1(p: np.ndarray, m: int, h: float) -> np.ndarray:
+    return (8.0 * (p[3:m + 3] - p[1:m + 1]) - (p[4:] - p[:m])) / (12.0 * h)
+
+
 def periodic_diff1(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative of periodic samples (4th-order central).
 
     Works on arrays of shape (m,) or (m, k); differentiates along axis 0.
     """
     y = np.asarray(y, dtype=float)
-    m = y.shape[0]
-    p = _wrap_pad(y)
-    return (8.0 * (p[3:m + 3] - p[1:m + 1]) - (p[4:] - p[:m])) / (12.0 * h)
+    return _diff1(_wrap_pad(y), y.shape[0], h)
 
 
 def periodic_diff2(y: np.ndarray, h: float) -> np.ndarray:
     """Second derivative of periodic samples (4th-order central)."""
+    return periodic_diff12(y, h)[1]
+
+
+def periodic_diff12(y: np.ndarray, h: float):
+    """(periodic_diff1(y, h), periodic_diff2(y, h)) from one pad of y."""
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     p = _wrap_pad(y)
-    return (
-        -(p[4:] + p[:m])
-        + 16.0 * (p[3:m + 3] + p[1:m + 1])
-        - 30.0 * y
-    ) / (12.0 * h * h)
+    d2 = (-(p[4:] + p[:m]) + 16.0 * (p[3:m + 3] + p[1:m + 1])
+          - 30.0 * y) / (12.0 * h * h)
+    return _diff1(p, m, h), d2
 
 
 def fourier_diff_matrix(m: int) -> np.ndarray:
@@ -111,16 +116,22 @@ def fourier_diff_matrix(m: int) -> np.ndarray:
     return col[(j[None, :] - j[:, None]) % m].T
 
 
+@functools.lru_cache(maxsize=None)       # (1j k)^order, read-only
+def _spectral_symbol(m: int, order: int) -> np.ndarray:
+    symbol = (1j * np.fft.rfftfreq(m, d=1.0 / m)) ** order
+    symbol.flags.writeable = False
+    return symbol
+
+
 def spectral_diff(values: np.ndarray, order: int = 1) -> np.ndarray:
     """FFT differentiation of real periodic samples on [0, 2pi) along
     axis 0 of (m,) or (m, k) arrays; each column as its own 1-D call."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    k = np.fft.rfftfreq(m, d=1.0 / m)
     fk = np.fft.rfft(values, axis=0)
     if order % 2 == 1 and m % 2 == 0:
         fk[-1] = 0.0  # odd derivative of the Nyquist mode is not representable
-    fk = (fk.T * (1j * k) ** order).T       # the symbol runs along axis 0
+    fk = (fk.T * _spectral_symbol(m, order)).T  # the symbol runs along axis 0
     return np.fft.irfft(fk, n=m, axis=0)
 
 

@@ -2,9 +2,9 @@
 
 The catalogue is one table of rows ``(name, call)``.  ``name`` is
 ``"<suite>/<check>"`` and appears nowhere else; ``call`` takes no
-arguments and builds its inputs only when it runs.  The three
-``flows/wave-*`` rows read one batched integration, which the first of
-them to run builds for that catalogue alone.  ``suite_thunks``
+arguments and builds its inputs only when it runs.  The rows that read
+``waves()`` or ``pnfs()`` share one batched integration, which the first
+of them to run builds for that catalogue alone.  ``suite_thunks``
 selects the rows of one suite by the prefix before the ``/``, and
 ``run_suite_checks`` runs them and names what they return:
 
@@ -38,8 +38,8 @@ from .flows import (cap_extension_series, concavity_check,
                     geodesic_extension_measure, hausdorff_points,
                     isoperimetric_checks, latitude_circle,
                     minkowski_sum_support, parallel_normal_flow,
-                    quermassintegrals, steiner_fit_residual,
-                    weingarten_waves)
+                    parallel_normal_flows, quermassintegrals,
+                    steiner_fit_residual, weingarten_waves)
 from .inequalities import (TestFunction, boundary_cd_report, check_bln,
                            check_boundary_gaps, check_colesanti,
                            check_dual_colesanti, check_lichnerowicz,
@@ -156,22 +156,25 @@ def _gaps_corpus(seed: int) -> CheckReport:
     return _worst(reports, seed=seed)
 
 
-def _pnf_minkowski_oracle(m: int, t_end: float, dt: float):
+_ORACLE_PHI = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
+
+
+def _pnf_minkowski_oracle(m: int, t_end: float, dt: float, res=None):
     """(Hausdorff distance, FlowResult) of the plane parallel normal flow
-    from the unit disk at speed 1 + 0.12 cos 2t + 0.02 cos 4t against the
-    Minkowski sum disk + t_end * (body with that support function)."""
+    res from the unit disk at speed _ORACLE_PHI (run here if None) against
+    the Minkowski sum disk + t_end * (body with that support function)."""
     disk = disk_body(m=m)
-    phi = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
-    speed_body = build_plane_body(phi, m=m, label="speed-body")
-    res = parallel_normal_flow(disk, phi, t_end, dt, snapshot_every=10**9)
-    target = minkowski_sum_support(disk, speed_body, t_end)
+    if res is None:
+        res = parallel_normal_flow(disk, _ORACLE_PHI, t_end, dt,
+                                   snapshot_every=10**9)
+    target = minkowski_sum_support(
+        disk, build_plane_body(_ORACLE_PHI, m=m, label="speed-body"), t_end)
     return hausdorff_points(res.states[-1].points, target.points()), res
 
 
-def _pnf_measure(start, exact: float, tols, m: int, measure: str):
-    """Unit-speed parallel normal flow to t = 0.5: final measure against
+def _pnf_measure(res, exact: float, tols, m: int, measure: str):
+    """A unit-speed parallel normal flow to t = 0.5: final measure against
     its closed form, normal drift and concavity."""
-    res = parallel_normal_flow(start, 1.0, 0.5, 2e-3, snapshot_every=250)
     return [
         from_identity(measure, residual=(res.series.masses[-1] - exact) / exact,
                       tolerance=tols[0], params={"m": m}),
@@ -181,8 +184,8 @@ def _pnf_measure(start, exact: float, tols, m: int, measure: str):
     ]
 
 
-def _pnf_oracle():
-    dist, res = _pnf_minkowski_oracle(256, 0.5, 2e-3)
+def _pnf_oracle(res):
+    dist, _ = _pnf_minkowski_oracle(256, 0.5, 2e-3, res)
     return [
         from_identity("flows/pnf-vs-minkowski", residual=dist, tolerance=1e-4,
                       params={"m": 256, "dt": 2e-3}),
@@ -191,14 +194,6 @@ def _pnf_oracle():
                       params={"m": 256}),
         concavity_check(res.series),
     ]
-
-
-def _waves():
-    """The catalogue's three waves, integrated as one batch."""
-    return weingarten_waves([
-        (disk_body(m=128), 1.0),
-        (disk_body(m=128), TrigPolynomial((1.0, 0.0, 0.2))),
-        (ellipse_body(m=128), 1.0)], 0.2, 2e-4)
 
 
 def _wave_linear(res):
@@ -220,13 +215,21 @@ def _wave_alive(res, prefix: str = ""):
     ]
 
 
-def _measure_monotone() -> CheckReport:
-    res = parallel_normal_flow(disk_body(m=256), TrigPolynomial((1.0, 0.0, 0.12)),
-                               0.4, 2e-3, snapshot_every=250)
-    drops = np.diff(res.series.masses)
+def _measure_monotone(res) -> CheckReport:
+    """Enclosed measure never drops up to t = 0.4 (the first 201 masses
+    of a run with dt = 2e-3 are those of a run to 0.4)."""
+    drops = np.diff(res.series.masses[:int(round(0.4 / 2e-3)) + 1])
     return from_inequality("", lhs=float(-np.min(drops)), rhs=0.0,
                            tolerance=1e-12,
                            params={"min_increment": float(np.min(drops))})
+
+
+def _reads(batch, i: int, use, *args) -> Callable:
+    """Row call use(batch()[i], *args); the rows that read one batch are
+    one work item (``_items``)."""
+    call = lambda: use(batch()[i], *args)
+    call.batch = batch
+    return call
 
 
 def _extension(domain, t: float, exact: float) -> CheckReport:
@@ -237,7 +240,14 @@ def _extension(domain, t: float, exact: float) -> CheckReport:
 
 def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
     """Every check of every suite, in suite order."""
-    waves = functools.cache(_waves)
+    waves = functools.cache(lambda: weingarten_waves([
+        (disk_body(m=128), 1.0),
+        (disk_body(m=128), TrigPolynomial((1.0, 0.0, 0.2))),
+        (ellipse_body(m=128), 1.0)], 0.2, 2e-4))
+    pnfs = functools.cache(lambda: parallel_normal_flows([
+        (disk_body(m=256), 1.0), (disk_body(m=256), _ORACLE_PHI),
+        (disk_body(m=256), TrigPolynomial((1.0, 0.0, 0.12)))], 0.5, 2e-3,
+        snapshot_every=250))
     return [
         ("reilly/interval-gauss", lambda: reilly_convergence(
             gaussian_model, lambda t: t**2, REILLY_RESOLUTIONS)),
@@ -317,18 +327,19 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
         ("boundary/cd-sphere", lambda: boundary_cd_report(sphere_body(1.0))),
         ("boundary/cd-spheroid", lambda: boundary_cd_report(spheroid_body())),
 
-        ("flows/pnf-disk", lambda: _pnf_measure(
-            disk_body(m=256), math.pi * 1.5**2, (1e-8, 1e-9), 256, "measure")),
-        ("flows/pnf-oracle", _pnf_oracle),
+        ("flows/wave-const", _reads(waves, 0, _wave_linear)),
+        ("flows/wave-perturbed", _reads(waves, 1, _wave_alive,
+                                        "flows/wave-disk-perturbed-")),
+        ("flows/wave-ellipse", _reads(waves, 2, _wave_alive)),
+        ("flows/pnf-disk", _reads(pnfs, 0, _pnf_measure, math.pi * 1.5**2,
+                                  (1e-8, 1e-9), 256, "measure")),
+        ("flows/pnf-oracle", _reads(pnfs, 1, _pnf_oracle)),
         ("flows/pnf-cap", lambda: _pnf_measure(
-            latitude_circle(math.pi / 3, 128),
+            parallel_normal_flow(latitude_circle(math.pi / 3, 128), 1.0, 0.5,
+                                 2e-3, snapshot_every=250),
             2.0 * math.pi * (1.0 - math.cos(math.pi / 3 + 0.5)), (1e-6, 1e-5),
             128, "area")),
-        ("flows/wave-const", lambda: _wave_linear(waves()[0])),
-        ("flows/wave-perturbed", lambda: _wave_alive(
-            waves()[1], "flows/wave-disk-perturbed-")),
-        ("flows/wave-ellipse", lambda: _wave_alive(waves()[2])),
-        ("flows/measure-monotone", _measure_monotone),
+        ("flows/measure-monotone", _reads(pnfs, 2, _measure_monotone)),
         ("flows/cap-analytic-concavity", lambda: concavity_check(
             cap_extension_series(build_sphere_cap(math.pi / 3), 1.0, 1e-2))),
 
@@ -371,11 +382,14 @@ def suite_thunks(suite: str, seed: int) -> List[Tuple[str, Callable]]:
 
 
 def _items(rows) -> List[List[int]]:
-    """Row indices by work item, the largest first: the ``flows/wave-*``
-    rows share one batch, every other row stands alone."""
+    """Row indices by work item, the largest first: the rows that read one
+    batch are one item, every other row stands alone.  A fresh catalogue
+    names the batches, as a wrapped row call (the tracer's) hides them."""
+    batch = {name: getattr(call, "batch", name)
+             for name, call in _catalogue(0)}
     items = {}
     for i, (name, _) in enumerate(rows):
-        items.setdefault(name.split("/wave-")[0], []).append(i)
+        items.setdefault(batch.get(name, name), []).append(i)
     return sorted(items.values(), key=len, reverse=True)
 
 

@@ -633,3 +633,118 @@ def test_batched_waves_need_bodies_that_share_m():
                                 (disk_body(m=128), 1.0)], 0.01, 1e-3)
     with pytest.raises(ValueError, match="at least one"):
         flows.weingarten_waves([], 0.01, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# one pad per state
+
+
+_PAD_RUNS = {
+    "plane": (lambda t: parallel_normal_flow(disk_body(m=64), _COS2(0.12),
+                                             t, 2e-3), 4),
+    "sphere": (lambda t: parallel_normal_flow(latitude_circle(1.0, 64),
+                                              _COS2(0.1), t, 2e-3), 8),
+    "wave": (lambda t: weingarten_wave(disk_body(m=64), _COS2(0.2),
+                                       t / 10.0, 2e-4), 12),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAD_RUNS))
+def test_flow_pads_per_step_within_budget(monkeypatch, name):
+    # a state's geometry pads its markers once for both derivatives: the
+    # plane PNF pads once per state, the sphere PNF also pads the speed
+    # and the wave's right-hand side pads twice per stage; the extra 50
+    # steps of the longer run isolate the per-step cost from the setup
+    run, budget = _PAD_RUNS[name]
+    pads = [0]
+    real_pad = numerics._wrap_pad
+
+    def counted(y):
+        pads[0] += 1
+        return real_pad(y)
+
+    monkeypatch.setattr(numerics, "_wrap_pad", counted)
+    per_run = []
+    for t_end in (0.1, 0.2):
+        pads[0] = 0
+        res = run(t_end)
+        assert res.alive
+        per_run.append((pads[0], res.series.times.size - 1))
+    (short_pads, short_steps), (long_pads, long_steps) = per_run
+    assert long_steps - short_steps == 50
+    assert (long_pads - short_pads) / 50 <= budget
+
+
+# ---------------------------------------------------------------------------
+# batched parallel normal flows against their solo runs
+
+
+def _assert_batch_matches_solo(members, t_end, dt, snapshot_every):
+    batch = flows.parallel_normal_flows(members, t_end, dt, snapshot_every)
+    assert len(batch) == len(members)
+    for (body, phi), got in zip(members, batch):
+        _assert_same_bytes(got, parallel_normal_flow(
+            body, phi, t_end, dt, snapshot_every=snapshot_every))
+    return batch
+
+
+def test_batched_catalogue_pnfs_match_solo_runs_bytewise():
+    # pnf-disk, pnf-oracle and measure-monotone; the oracle's solo run
+    # snapshots every 10**9 steps, which over 250 steps gives the same two
+    # snapshots, and measure-monotone reads the masses of a run to 0.4
+    oracle_phi = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
+    batch = _assert_batch_matches_solo([
+        (disk_body(m=256), 1.0), (disk_body(m=256), oracle_phi),
+        (disk_body(m=256), _COS2(0.12))], 0.5, 2e-3, 250)
+    assert all(res.alive for res in batch)
+    assert [len(res.states) for res in batch] == [2, 2, 2]
+    _assert_same_bytes(batch[1], parallel_normal_flow(
+        disk_body(m=256), oracle_phi, 0.5, 2e-3, snapshot_every=10**9))
+    short = parallel_normal_flow(disk_body(m=256), _COS2(0.12), 0.4, 2e-3,
+                                 snapshot_every=250)
+    assert np.array_equal(batch[2].series.masses[:201], short.series.masses)
+
+
+@pytest.mark.parametrize("partner", [0.12, 0.8])
+@pytest.mark.parametrize("dying_first", [True, False])
+def test_batched_pnf_member_dies_alone(partner, dying_first):
+    # speed 1 + a cos 2t keeps the disk convex while 1 + t (1 - 3a) > 0:
+    # a = 0.6 breaks it near t = 1.25; its partner a = 0.12 outlives it,
+    # a = 0.8 dies before it, near t = 0.71
+    members = [(disk_body(m=64), _COS2(0.6)), (disk_body(m=64), _COS2(partner))]
+    if not dying_first:
+        members.reverse()
+    batch = _assert_batch_matches_solo(members, 1.5, 2e-3, 100)
+    dying, other = batch if dying_first else batch[::-1]
+    assert dying.death_reason == "curvature-floor"
+    assert not dying.states[-1].alive
+    assert 1.0 < dying.series.times[-1] < 1.3
+    if partner < 0.5:
+        assert other.alive
+        assert other.series.times[-1] == pytest.approx(1.5)
+    else:
+        assert other.death_reason == "curvature-floor"
+        assert other.series.times[-1] < 0.8
+
+
+def test_batched_pnf_self_intersection_vetoes_one_member(monkeypatch):
+    # a stand-in sweep vetoes any curve that reaches radius 1.31: the unit
+    # speed disk does at the check of step 175, the half speed one never
+    monkeypatch.setattr(flows, "self_intersects", lambda points: bool(
+        np.max(np.hypot(points[:, 0], points[:, 1])) > 1.31))
+    batch = _assert_batch_matches_solo(
+        [(disk_body(m=64), 1.0), (disk_body(m=64), 0.5)], 0.6, 2e-3, 10)
+    assert batch[0].death_reason == "self-intersection"
+    assert batch[0].diagnostics["steps_run"] == 174
+    assert batch[1].alive and batch[1].diagnostics["steps_run"] == 300
+
+
+def test_batched_pnfs_refuse_what_cannot_batch():
+    with pytest.raises(ValueError, match="at least one"):
+        flows.parallel_normal_flows([], 0.01, 1e-3)
+    with pytest.raises(ValueError, match="share m"):
+        flows.parallel_normal_flows([(disk_body(m=64), 1.0),
+                                     (disk_body(m=128), 1.0)], 0.01, 1e-3)
+    with pytest.raises(ValueError, match="plane body"):
+        flows.parallel_normal_flows([(latitude_circle(1.0, 64), 1.0)],
+                                    0.01, 1e-3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reilly_lab import numerics
 from reilly_lab.numerics import (diff1, diff2, fourier_diff_matrix,
                                  observed_orders, periodic_diff1,
                                  periodic_diff2, periodic_trapezoid,
@@ -191,3 +192,31 @@ def test_stencils_on_batches_match_columns(m, batch):
             for j in range(3):
                 assert np.array_equal(d[:, b, j], stencil(y[:, b, j])), \
                     (name, b, j)
+
+
+@pytest.mark.parametrize("m", [1, 5, 128, 1024])
+@pytest.mark.parametrize("tail", [(), (2,), (3, 2)])
+def test_fused_periodic_stencil_matches_both_stencils_with_one_pad(
+        monkeypatch, m, tail):
+    y = np.random.default_rng(m).standard_normal((m, *tail))
+    h = 2.0 * np.pi / m
+    want = (periodic_diff1(y, h), periodic_diff2(y, h))
+    pads = []
+    real_pad = numerics._wrap_pad
+    monkeypatch.setattr(numerics, "_wrap_pad",
+                        lambda a: pads.append(a) or real_pad(a))
+    d1, d2 = numerics.periodic_diff12(y, h)
+    assert len(pads) == 1
+    assert np.array_equal(d1, want[0]) and np.array_equal(d2, want[1])
+
+
+def test_spectral_symbol_is_cached_read_only():
+    symbol = numerics._spectral_symbol(64, 1)
+    assert numerics._spectral_symbol(64, 1) is symbol
+    assert not symbol.flags.writeable
+    with pytest.raises(ValueError):
+        symbol[1] = 0.0
+    k = np.fft.rfftfreq(64, d=1.0 / 64)
+    for order in (1, 2, 3):
+        assert np.array_equal(numerics._spectral_symbol(64, order),
+                              (1j * k) ** order)

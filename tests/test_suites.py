@@ -212,3 +212,55 @@ def test_a_worker_that_dies_is_reaped_and_named(monkeypatch, tmp_path):
     assert pid != os.getpid()
     with pytest.raises(ChildProcessError):      # already reaped
         os.waitpid(pid, os.WNOHANG)
+
+
+_PNF_ROWS = ("flows/pnf-disk", "flows/pnf-oracle", "flows/measure-monotone")
+
+
+def _short_pnfs(real, log=None):
+    """parallel_normal_flows cut to 10 steps per member, noting each batch
+    in the list or file ``log``."""
+    def short_batch(members, t_end, dt, **kwargs):
+        if isinstance(log, list):
+            log.append(len(members))
+        else:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+        return real(members, 10 * dt, dt, **kwargs)
+    return short_batch
+
+
+def test_pnf_rows_share_one_batch_per_catalogue(monkeypatch):
+    # the three plane PNF rows read one batched integration, built when
+    # the first of them runs; every catalogue builds its own
+    calls = []
+    monkeypatch.setattr(suites, "parallel_normal_flows",
+                        _short_pnfs(suites.parallel_normal_flows, calls))
+    for expected in (1, 2):
+        rows = [(name, call) for name, call in suite_thunks("flows", 3)
+                if name in _PNF_ROWS]
+        assert [name for name, _ in rows] == list(_PNF_ROWS)
+        assert len(calls) == expected - 1
+        for _, call in rows:
+            call()
+        assert len(calls) == expected and calls[-1] == len(rows)
+    run_suite_checks("flows", seed=3, workers=1)
+    assert len(calls) == 3
+
+
+@needs_fork
+def test_pnf_rows_are_one_item_integrated_once_per_run(monkeypatch, tmp_path):
+    # the workers are forked, so each batch leaves its mark in a file
+    rows = suite_thunks("flows", 3)
+    pnfs = [i for i, (name, _) in enumerate(rows) if name in _PNF_ROWS]
+    items = suites._items(rows)
+    assert len(pnfs) == 3 and pnfs in items and items[0] != pnfs
+    log = tmp_path / "batches"
+    monkeypatch.setattr(suites, "parallel_normal_flows",
+                        _short_pnfs(suites.parallel_normal_flows, log))
+    for runs in (1, 2):
+        with _deadline(120):
+            reports = run_suite_checks("flows", seed=3, workers=2)
+        assert len(log.read_text().splitlines()) == runs
+        assert sum(r.name.startswith(_PNF_ROWS + ("flows/pnf-vs-",))
+                   for r in reports) == 7
