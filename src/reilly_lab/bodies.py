@@ -212,28 +212,18 @@ class RevolutionBody3D:
 
 def _arclength_reparametrize(
     x: Callable, y: Callable, tau0: float, tau1: float, n_cells: int,
-    refine: int = 16, speed_fn: Optional[Callable] = None,
+    speed_fn: Callable,
 ) -> tuple:
     """Resample a curve (x(tau), y(tau)) at n_cells+1 uniform arclength nodes.
 
-    The cumulative arclength is integrated on a grid `refine` times finer
-    with a spline, then inverted; node positions are accurate to well
-    below the differencing error of downstream consumers.   Pass the exact
-    speed |(x', y')| when available; the difference-quotient fallback uses
-    a cube-root-of-eps step to balance truncation against roundoff.
+    The exact speed |(x', y')| is integrated on a grid 16 times finer with
+    a spline, then inverted; node positions are accurate to well below the
+    differencing error of downstream consumers.
     """
     from scipy.interpolate import CubicSpline
-    nf = refine * n_cells
+    nf = 16 * n_cells
     tau = np.linspace(tau0, tau1, nf + 1)
-    if speed_fn is not None:
-        sp = np.asarray(speed_fn(tau), dtype=float)
-    else:
-        eps = (tau1 - tau0) * 6e-6
-        taum = np.clip(tau, tau0 + eps, tau1 - eps)
-        dx = (np.asarray(x(taum + eps)) - np.asarray(x(taum - eps))) / (2 * eps)
-        dy = (np.asarray(y(taum + eps)) - np.asarray(y(taum - eps))) / (2 * eps)
-        sp = np.hypot(dx, dy)
-    speed = CubicSpline(tau, sp)
+    speed = CubicSpline(tau, np.asarray(speed_fn(tau), dtype=float))
     # each segment's integral is the power-form antiderivative of its cubic
     # at the segment length, in the operation order scipy uses for one
     # interval, so the sum is bitwise that of speed.integrate per segment
@@ -284,21 +274,6 @@ def build_spheroid_body(a: float, c: float, n_cells: int = 1024) -> RevolutionBo
     return _closed(s, r, z, f"spheroid(a={a:g},c={c:g})")
 
 
-def build_revolution_body(profile_spec, n_cells: int = 1024) -> RevolutionBody3D:
-    """Dispatch on a profile spec: ('sphere', R) | ('spheroid', a, c) |
-    (r_callable, z_callable, tau0, tau1)."""
-    if isinstance(profile_spec, (tuple, list)):
-        if profile_spec and profile_spec[0] == "sphere":
-            return build_sphere_body(*profile_spec[1:], n_cells=n_cells)
-        if profile_spec and profile_spec[0] == "spheroid":
-            return build_spheroid_body(*profile_spec[1:], n_cells=n_cells)
-        if len(profile_spec) == 4 and callable(profile_spec[0]):
-            x, y, t0, t1 = profile_spec
-            return _closed(*_arclength_reparametrize(x, y, t0, t1, n_cells),
-                           "revolution")
-    raise ValueError(f"unrecognized profile spec: {profile_spec!r}")
-
-
 @dataclass(frozen=True)
 class SphereCap:
     """Geodesic cap of radius r_cap on the unit 2-sphere."""
@@ -319,9 +294,9 @@ class SphereCap:
         """Curvature of the boundary circle wrt the outward conormal: cot r."""
         return math.cos(self.r_cap) / math.sin(self.r_cap)
 
-    def area_by_quadrature(self, n: int = 4097) -> float:
+    def area_by_quadrature(self) -> float:
         """Latitude quadrature of sin(phi); independent check of area()."""
-        phi = np.linspace(0.0, self.r_cap, n)
+        phi = np.linspace(0.0, self.r_cap, 4097)
         return 2.0 * math.pi * simpson_uniform(np.sin(phi), phi[1] - phi[0])
 
 

@@ -70,13 +70,12 @@ class CheckReport:
 
 
 def from_inequality(name: str, lhs: float, rhs: float, tolerance: float,
-                    params: Optional[dict] = None, grids=(),
+                    params: Optional[dict] = None,
                     diagnostic: bool = False) -> CheckReport:
     report = CheckReport(
         name=name, lhs=float(lhs), rhs=float(rhs), tolerance=float(tolerance),
         params=dict(params or {}),
         kind="diagnostic" if diagnostic else "inequality",
-        grids=tuple(grids),
     )
     return _with_order(report)
 

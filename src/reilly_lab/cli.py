@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from . import __version__
 from .bodies import ConvexPlaneBody, SphereCap
+from .checks import from_inequality
 from .config import SuiteConfig, load_config, validate_flow, validate_sweep
 from .errors import ConfigError, ReillyLabError
 from .flows import (concavity_check, latitude_circle, parallel_normal_flow,
@@ -135,13 +136,11 @@ def _cmd_flow(args) -> int:
     reports = []
     if result.series is not None:
         reports.append(concavity_check(result.series, name="flow-concavity"))
-    from .checks import from_inequality
     reports.append(from_inequality(
         "flow-alive", lhs=1.0, rhs=1.0 if result.alive else 0.0,
         tolerance=0.0,
         params={"death_reason": result.death_reason or "",
-                "normal_drift": result.normal_drift,
-                **{k: v for k, v in result.diagnostics.items()}},
+                "normal_drift": result.normal_drift, **result.diagnostics},
     ))
     document = emit_report(sorted(reports, key=lambda r: r.name), cfg.echo())
     sys.stdout.write(document)

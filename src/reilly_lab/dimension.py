@@ -104,10 +104,9 @@ class InverseDimension:
         return n * mass ** self.theta
 
 
-def theta_from_config_n(text: str, n_ambient: int = 1) -> InverseDimension:
+def theta_from_config_n(text: str) -> InverseDimension:
     """Parse the config spelling of N: '0' -> theta = -inf, 'inf' -> theta = 0."""
     word = text.strip().lower()
     if word in ("inf", "infinity", "+inf"):
-        return InverseDimension(0.0, n_ambient)
-    value = float(word)
-    return InverseDimension.from_n(value, n_ambient)
+        return InverseDimension(0.0)
+    return InverseDimension.from_n(float(word))

@@ -37,6 +37,9 @@ from .operators import boundary_geometry, weighted_integral
 from .trig import TrigPolynomial
 
 KAPPA_FLOOR = 1e-4
+# every flow evolves a region of R^2 or of the round S^2, so its concavity
+# is checked at N = n = 2, the strongest exponent 1/N that holds
+FLOW_THETA = InverseDimension(0.5, n_ambient=2)
 
 
 @dataclass(frozen=True)
@@ -355,8 +358,8 @@ def _renorm(x: np.ndarray) -> np.ndarray:
 
 
 def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
-              snapshot_every, theta, nonfinite,
-              project=lambda z: z, reject=None, watch=None, aux=()):
+              snapshot_every, nonfinite, project=lambda z: z, reject=None,
+              watch=None, aux=()):
     """Integrate dy/dt = rhs(y, g, *aux) with classical fixed-step RK4.
 
     y is one member's state with markers on axis 0, (m, k), or a batch
@@ -377,8 +380,6 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     others keep the arithmetic, and the bits, of their solo runs.
     Returns one (FlowResult (diagnostics m, dt), last state) per member.
     """
-    if theta is None:
-        theta = InverseDimension(0.5, n_ambient=2)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if snapshot_every < 1:
@@ -454,7 +455,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     return [(FlowResult(
         states=states[member],
         series=(ConcavitySeries(np.array(times[:len(masses[member])]),
-                                np.array(masses[member]), theta)
+                                np.array(masses[member]), FLOW_THETA)
                 if len(masses[member]) > 1 else None),
         alive=reasons[member] is None, death_reason=reasons[member],
         diagnostics={"m": y.shape[0], "dt": dt}), last[member])
@@ -467,8 +468,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
 
 def parallel_normal_flow(initial, phi, t_end: float, dt: float,
                          snapshot_every: int = 10,
-                         intersect_every: int = 25,
-                         theta: Optional[InverseDimension] = None) -> FlowResult:
+                         intersect_every: int = 25) -> FlowResult:
     """Run the parallel normal flow from a plane body or a sphere curve.
 
     phi is fixed per trajectory for all time (the flow's defining
@@ -481,7 +481,7 @@ def parallel_normal_flow(initial, phi, t_end: float, dt: float,
     if not isinstance(initial, (ConvexPlaneBody, SphereCurve)):
         raise TypeError(type(initial).__name__)
     return _pnf_runs([(initial, phi)], t_end, dt, snapshot_every,
-                     intersect_every, theta)[0]
+                     intersect_every)[0]
 
 
 def parallel_normal_flows(members, t_end: float, dt: float,
@@ -495,10 +495,10 @@ def parallel_normal_flows(members, t_end: float, dt: float,
             all(isinstance(body, ConvexPlaneBody) for body, _ in members)):
         raise ValueError("batched flows need at least one plane body, and "
                          "the bodies must share m")
-    return _pnf_runs(members, t_end, dt, snapshot_every, 25, None)
+    return _pnf_runs(members, t_end, dt, snapshot_every, 25)
 
 
-def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every, theta):
+def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
     """Parallel normal flows of plane bodies sharing m, or of one sphere."""
     on_sphere = isinstance(members[0][0], SphereCurve)
     hy = 2.0 * math.pi / members[0][0].m
@@ -558,7 +558,7 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every, theta):
 
     runs = _rk4_flow(
         y, g, geometry, rhs, lambda x, phi_vals, _: (x, phi_vals), mass,
-        phi_vals, t_end, dt, snapshot_every, theta, "curvature-floor",
+        phi_vals, t_end, dt, snapshot_every, "curvature-floor",
         project=project, reject=reject, watch=watch,
         aux=(phi_vals, periodic_diff1(phi_vals, hy)))
     for (result, _), record, member_drift in zip(runs, diagnostics, drift):
@@ -582,7 +582,6 @@ def _wave_rhs(z: np.ndarray, g, hy: float) -> np.ndarray:
 
 
 def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
-                    theta: Optional[InverseDimension] = None,
                     snapshot_every: int = 50) -> FlowResult:
     """Coupled wave: dF/dt = phi nu, d(log phi)/dt = L_(Sigma, II, mu) phi.
 
@@ -593,12 +592,10 @@ def weingarten_wave(body: ConvexPlaneBody, phi0, t_end: float, dt: float,
     Stability of the explicit stepping requires dt of order (arclength
     spacing)^2.
     """
-    return weingarten_waves([(body, phi0)], t_end, dt, theta,
-                            snapshot_every)[0]
+    return weingarten_waves([(body, phi0)], t_end, dt, snapshot_every)[0]
 
 
 def weingarten_waves(members, t_end: float, dt: float,
-                     theta: Optional[InverseDimension] = None,
                      snapshot_every: int = 50) -> list[FlowResult]:
     """weingarten_wave of each (body, phi0) pair, integrated as one batch.
 
@@ -626,7 +623,7 @@ def weingarten_waves(members, t_end: float, dt: float,
         y, geometry(y), geometry, lambda z, g: _wave_rhs(z, g, hy),
         lambda z: (z[..., :2], np.exp(z[..., 2])),
         lambda z, g: polyline_area(z[..., :2], hy), phi_vals, t_end, dt,
-        snapshot_every, theta, "positivity-loss")
+        snapshot_every, "positivity-loss")
     for result, last in runs:
         result.diagnostics["min_phi"] = float(np.exp(last[:, 2]).min())
     return [result for result, _ in runs]
@@ -664,9 +661,10 @@ def hausdorff_points(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def steiner_fit_residual(K: ConvexPlaneBody, L: ConvexPlaneBody,
-                         ts=(0.0, 0.25, 0.5, 0.75, 1.0)) -> float:
-    """Max deviation of area(K + tL) from its degree-2 fit over ts."""
+def steiner_fit_residual(K: ConvexPlaneBody, L: ConvexPlaneBody) -> float:
+    """Max deviation of area(K + tL) from its degree-2 fit over t = 0, 1/4,
+    ..., 1."""
+    ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     areas = np.array([minkowski_sum_support(K, L, t).area() for t in ts])
     coeffs = np.polynomial.polynomial.polyfit(np.asarray(ts), areas, 2)
     fit = np.polynomial.polynomial.polyval(np.asarray(ts), coeffs)
@@ -747,14 +745,12 @@ def isoperimetric_checks(K: ConvexPlaneBody, L: ConvexPlaneBody,
     return checks
 
 
-def cap_extension_series(cap: SphereCap, t_end: float, dt: float,
-                         theta: Optional[InverseDimension] = None) -> ConcavitySeries:
+def cap_extension_series(cap: SphereCap, t_end: float,
+                         dt: float) -> ConcavitySeries:
     """Analytic mass series of the geodesic cap extension."""
-    if theta is None:
-        theta = InverseDimension(0.5, n_ambient=2)
     if cap.r_cap + t_end >= math.pi:
         raise CapOverflow("extension reaches the antipode")
     steps = int(round(t_end / dt))
     times = np.arange(steps + 1) * dt
     masses = np.array([cap.area(extra=float(t)) for t in times])
-    return ConcavitySeries(times, masses, theta)
+    return ConcavitySeries(times, masses, FLOW_THETA)

@@ -44,18 +44,16 @@ class TestFunction:
     trig: Optional[TrigPolynomial] = None
     samples: Optional[np.ndarray] = None
     params: Optional[ModelDensityParams] = None
-    zero_mean_enforced: bool = False
 
     @classmethod
-    def from_trig(cls, poly, zero_mean: bool = False) -> "TestFunction":
+    def from_trig(cls, poly) -> "TestFunction":
         if not isinstance(poly, TrigPolynomial):
             poly = TrigPolynomial.from_flat(poly)
-        return cls(kind="trig", trig=poly, zero_mean_enforced=zero_mean)
+        return cls(kind="trig", trig=poly)
 
     @classmethod
-    def from_samples(cls, samples, zero_mean: bool = False) -> "TestFunction":
-        return cls(kind="grid", samples=np.asarray(samples, dtype=float),
-                   zero_mean_enforced=zero_mean)
+    def from_samples(cls, samples) -> "TestFunction":
+        return cls(kind="grid", samples=np.asarray(samples, dtype=float))
 
     @classmethod
     def model_sharpness(cls, params: ModelDensityParams) -> "TestFunction":
@@ -133,8 +131,6 @@ def _bln_interval(model: IntervalModel, fn: TestFunction, case: str,
             f"min Ric_(mu,N) = {np.min(ric):.3e} on {model.label}"
         )
     f, fp = fn.on_interval(model)
-    if fn.zero_mean_enforced:
-        f = f - weighted_integral(f, model) / model.mass()
     dens = model.density
     notes = {}
     if case == "dirichlet":
@@ -334,8 +330,6 @@ def check_veysseire(model: IntervalModel) -> CheckReport:
 def _curve_data(body: ConvexPlaneBody, fn: TestFunction):
     """f and its arclength derivative df/ds on the curve."""
     f, ftheta = fn.on_curve(body)
-    if fn.zero_mean_enforced:
-        f = f - weighted_integral(f, body) / body.perimeter()
     r = body.curvature_radius
     fs = ftheta / r
     return f, fs
@@ -526,20 +520,18 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0):
     return out
 
 
-def boundary_cd_report(body: RevolutionBody3D, rho_ambient: float = 0.0,
-                       kappa_bound: float = 0.0,
-                       theta: Optional[InverseDimension] = None):
+def boundary_cd_report(body: RevolutionBody3D):
     """Curvature-dimension transfer to the boundary surface.
 
     Compares the intrinsic Gauss curvature of the profile metric with the
     Gauss-equation expression (H g0 - II) II built from the extrinsic
     principal curvatures, then checks the induced CD bound
     rho - kappa + (n-2) sigma^2 and its log-Sobolev Poincare consequence
-    on the boundary spectral gap.  Flat ambient with zero potential.
+    on the boundary spectral gap.  The ambient space is flat R^3 with zero
+    potential, so rho = kappa = 0 and N = n = 3.
     """
     n = 3
-    if theta is None:
-        theta = InverseDimension(1.0 / n, n_ambient=n)
+    theta = 1.0 / n                           # N = n
     geom = boundary_geometry(body)
     k1, k2 = geom.kappa1, geom.kappa2
     h_field = geom.H_g
@@ -558,19 +550,16 @@ def boundary_cd_report(body: RevolutionBody3D, rho_ambient: float = 0.0,
                 "max_discrepancy": disc},
     )]
     sigma = geom.sigma
-    rho0 = rho_ambient - kappa_bound + (n - 2) * sigma**2
+    rho0 = (n - 2) * sigma**2                 # rho - kappa = 0
     tol = inequality_tolerance(scale=max(1.0, abs(rho0)), h=body.h)
     reports.append(from_inequality(
         "boundary-cd-margin", lhs=rho0, rhs=float(np.min(k_int)),
         tolerance=tol,
-        params={"body": label, "rho": rho_ambient, "kappa": kappa_bound,
-                "sigma": sigma},
+        params={"body": label, "rho": 0.0, "kappa": 0.0, "sigma": sigma},
     ))
     # log-Sobolev constant of the induced CD(rho0, N-1) condition,
-    # checked through its Poincare consequence; needs N in [n, inf]
-    if theta.theta < 0.0 or theta.theta > 1.0 / n + 1e-15:
-        raise ValueError("log-Sobolev transfer needs N in [n, inf]")
-    nm1_over_nm2 = (1.0 - theta.theta) / (1.0 - 2.0 * theta.theta)
+    # checked through its Poincare consequence
+    nm1_over_nm2 = (1.0 - theta) / (1.0 - 2.0 * theta)
     lam_ls = rho0 * nm1_over_nm2
     lam, mode = boundary_gap_revolution(body)
     reports.append(from_inequality(

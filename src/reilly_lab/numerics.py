@@ -164,8 +164,8 @@ def periodic_trapezoid(y: np.ndarray, h: float) -> float:
 ROUNDOFF_FLOOR = 1e-11
 
 
-def observed_orders(values, ratio: float = 2.0, floor: float = ROUNDOFF_FLOOR):
-    """Per-refinement convergence orders of |values| under grid ratio `ratio`.
+def observed_orders(values, floor: float = ROUNDOFF_FLOOR):
+    """Per-refinement convergence orders of |values| under grid halving.
 
     values are residual magnitudes at successively finer grids.  Pairs in
     which either member sits at the roundoff floor carry no measurable
@@ -177,7 +177,7 @@ def observed_orders(values, ratio: float = 2.0, floor: float = ROUNDOFF_FLOOR):
         if b <= floor or a <= floor:
             orders.append(math.inf)
         else:
-            orders.append(math.log(a / b) / math.log(ratio))
+            orders.append(math.log(a / b) / math.log(2.0))
     return orders
 
 

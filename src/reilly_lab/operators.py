@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .bodies import ConvexPlaneBody, RevolutionBody3D, SphereCap
+from .bodies import ConvexPlaneBody, RevolutionBody3D
 from .errors import ConvergenceFailure, SingularSystem
 from .models import IntervalModel, RadialBall
 from .numerics import fourier_diff_matrix, periodic_trapezoid, simpson_uniform
@@ -235,17 +235,17 @@ def _eigh(op: DiscreteOperator, last: int, vectors: bool = False):
         raise ConvergenceFailure(f"eigensolve failed on {op.model_ref}") from exc
 
 
-def spectral_gap(op: DiscreteOperator, count: int = 1):
+def spectral_gap(op: DiscreteOperator):
     """Smallest positive eigenvalue of -L and its eigenvector.
 
     Neumann and periodic operators have an exact zero mode (constants);
     the gap is the next eigenvalue.  Dirichlet operators restrict to the
-    interior nodes first.  Only the eigenpairs 0..count are computed.
+    interior nodes first.  Only the eigenpairs 0 and 1 are computed.
     The eigenvector is normalized in the weighted norm and returned on
     the full grid.
     """
-    _check_count(op, count, spare=1)
-    vals, vecs = _eigh(op, count, vectors=True)
+    _check_count(op, 1, spare=1)
+    vals, vecs = _eigh(op, 1, vectors=True)
     idx = 0 if op.bc == DIRICHLET else 1
     lam = float(vals[idx])
     phi = vecs[:, idx]
@@ -374,9 +374,8 @@ class BoundaryGeometry:
 
     For curves II is the scalar curvature; for revolution surfaces the
     two principal curvatures are kept separately and II reports their
-    minimum.  Convex bodies and caps carry no potential, so on them
-    H_mu = H_g; a radial ball's H_mu includes its potential's normal
-    derivative.
+    minimum.  Convex bodies carry no potential, so on them H_mu = H_g; a
+    radial ball's H_mu includes its potential's normal derivative.
     """
 
     II: np.ndarray
@@ -411,10 +410,6 @@ def boundary_geometry(body) -> BoundaryGeometry:
         return BoundaryGeometry(II=np.array([1.0 / rr]),
                                 H_g=np.array([(n - 1) / rr]),
                                 H_mu=np.array([body.boundary_h_mu()]))
-    if isinstance(body, SphereCap):
-        kg = body.geodesic_curvature()
-        return BoundaryGeometry(II=np.array([kg]), H_g=np.array([kg]),
-                                H_mu=np.array([kg]))
     raise TypeError(f"no boundary geometry for {type(body).__name__}")
 
 

@@ -52,10 +52,10 @@ def gaussian_half_model(n_pts: int = 2001, sigma: float = 1.0,
     )
 
 
-def veysseire_quartic_model(n_pts: int = 2001, width: float = 4.0):
-    """V = t^2/2 + t^4/12 with curvature field rho(t) = 1 + t^2."""
+def veysseire_quartic_model(n_pts: int = 2001):
+    """V = t^2/2 + t^4/12 on [-4, 4] with curvature field rho(t) = 1 + t^2."""
     return build_interval_model(
-        -width, width, n_pts,
+        -4.0, 4.0, n_pts,
         V=lambda t: t**2 / 2 + t**4 / 12,
         dV=lambda t: t + t**3 / 3,
         ddV=lambda t: 1 + t**2,
@@ -83,9 +83,9 @@ def wavy_body(m: int = DEFAULT_M) -> ConvexPlaneBody:
 
 
 def random_convex_bodies(count: int, seed: int, m: int = DEFAULT_M,
-                         degree: int = 8, margin: float = 0.25):
+                         degree: int = 8):
     """Seeded strictly convex bodies: h = 1 + eps * p with eps chosen so the
-    curvature radius keeps at least `margin` of headroom."""
+    curvature radius keeps at least a quarter of headroom."""
     rng = np.random.default_rng(seed)
     angles = np.arange(m) * (2.0 * math.pi / m)
     bodies = []
@@ -93,7 +93,7 @@ def random_convex_bodies(count: int, seed: int, m: int = DEFAULT_M,
         p = random_trig_polynomial(rng, degree=degree)
         radius_part = p(angles) + p(angles, derivative=2)
         low = float(np.min(radius_part))
-        eps = 0.5 if low >= 0.0 else min(0.5, (1.0 - margin) / (-low))
+        eps = 0.5 if low >= 0.0 else min(0.5, 0.75 / (-low))
         poly = TrigPolynomial.constant(1.0) + p.scaled(eps)
         bodies.append(build_plane_body(poly, m=m,
                                        label=f"random-body[{seed}:{i}]"))
@@ -115,12 +115,11 @@ def spheroid_body(a: float = 1.0, c: float = 1.2,
 
 
 def gaussian_ball(n_ambient: int = 2, r_outer: float = 0.8,
-                  n_pts: int = 1001, sigma: float = 1.0):
-    s2 = sigma * sigma
+                  n_pts: int = 1001):
+    """Ball under the unit-variance Gaussian potential V = r^2/2."""
     return build_radial_ball(
         n_ambient, r_outer, n_pts,
-        V=lambda r: r**2 / (2 * s2), dV=lambda r: r / s2,
-        ddV=lambda r: np.full_like(r, 1.0 / s2),
+        V=lambda r: r**2 / 2, dV=lambda r: r.copy(), ddV=np.ones_like,
         label=f"gaussian-ball(n={n_ambient},R={r_outer:g})",
     )
 

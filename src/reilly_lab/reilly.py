@@ -90,21 +90,16 @@ def gamma2_field(model: IntervalModel, u: np.ndarray, rho: float,
     return upp**2 + model.ddV * up**2 - rho * up**2 - one_over_n * lu**2
 
 
-_VARIANTS = ("full", "neumann-const", "dirichlet-const")
-
-
-def reilly_residual(domain, u: np.ndarray, variant: str = "full") -> CheckReport:
+def reilly_residual(domain, u: np.ndarray) -> CheckReport:
     """Residual of the integrated Bochner identity with boundary terms.
 
     residual = int (Lu)^2 - int |Hess u|^2 - int Ric_mu(grad u, grad u)
                - sum_boundary H_mu u_nu^2 exp(-V)
 
     Tangential boundary terms vanish by construction on both supported
-    domains, so the 'full', 'neumann-const' and 'dirichlet-const'
-    variants of the identity coincide here; the tag is recorded.
+    domains, so the full identity and its Neumann- and Dirichlet-constant
+    variants coincide here; the record's variant is "full".
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
     u = np.asarray(u, dtype=float)
     if isinstance(domain, IntervalModel):
         terms = _interval_terms(domain, u)
@@ -119,7 +114,7 @@ def reilly_residual(domain, u: np.ndarray, variant: str = "full") -> CheckReport
     return from_identity(
         "reilly-residual", residual=residual, tolerance=tol,
         lhs=lhs, rhs=hess + ric + boundary,
-        params={"model": domain.label, "n": domain.n_pts, "variant": variant,
+        params={"model": domain.label, "n": domain.n_pts, "variant": "full",
                 "terms": {"lu2": lhs, "hessian": hess, "ricci": ric,
                           "boundary": boundary},
                 "relative_residual": residual / scale},
@@ -166,8 +161,7 @@ def _radial_terms(ball: RadialBall, u: np.ndarray):
     return lhs, hess, ric, boundary
 
 
-def reilly_convergence(build, u_of_x, resolutions, variant: str = "full",
-                       name: str = "reilly-residual") -> CheckReport:
+def reilly_convergence(build, u_of_x, resolutions) -> CheckReport:
     """Run reilly_residual across grids and merge with an order estimate.
 
     build(n) -> domain; u_of_x(x) -> samples.  The grid column stores the
@@ -177,15 +171,15 @@ def reilly_convergence(build, u_of_x, resolutions, variant: str = "full",
     for n in resolutions:
         domain = build(n)
         x = domain.t if isinstance(domain, IntervalModel) else domain.r
-        rep = reilly_residual(domain, u_of_x(x), variant=variant)
+        rep = reilly_residual(domain, u_of_x(x))
         reports.append(rep)
     grids = tuple(
         (r.params["n"], abs(r.params["relative_residual"])) for r in reports
     )
     finest = reports[-1]
     return from_identity(
-        name, residual=finest.residual, tolerance=finest.tolerance,
-        lhs=finest.lhs, rhs=finest.rhs,
+        "reilly-residual", residual=finest.residual,
+        tolerance=finest.tolerance, lhs=finest.lhs, rhs=finest.rhs,
         params={**finest.params, "resolutions": list(resolutions)},
         grids=grids,
     )

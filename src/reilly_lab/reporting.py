@@ -86,11 +86,10 @@ def check_to_json(report: CheckReport) -> str:
     return "{" + ",".join(f"{_json_string(k)}:{v}" for k, v in fields) + "}"
 
 
-def emit_report(reports: Iterable[CheckReport], config_echo: dict,
-                version: str = SCHEMA_VERSION) -> str:
+def emit_report(reports: Iterable[CheckReport], config_echo: dict) -> str:
     """Full JSON document: {version, config_echo, checks: [...]}."""
     checks = ",".join(check_to_json(r) for r in reports)
-    return ("{" + f"{_json_string('version')}:{_json_string(version)},"
+    return ("{" + f"{_json_string('version')}:{_json_string(SCHEMA_VERSION)},"
             f"{_json_string('config_echo')}:{_json_value(config_echo)},"
             f"{_json_string('checks')}:[{checks}]" + "}\n")
 

@@ -74,11 +74,11 @@ class TrigPolynomial:
         return cls(tuple(float(c) for c in coeffs), ())
 
 
-def random_trig_polynomial(rng: np.random.Generator, degree: int = 8,
-                           scale: float = 1.0) -> TrigPolynomial:
+def random_trig_polynomial(rng: np.random.Generator,
+                           degree: int = 8) -> TrigPolynomial:
     """Seeded random polynomial with 1/(1+k) coefficient decay."""
     ks = np.arange(degree + 1, dtype=float)
-    a = rng.standard_normal(degree + 1) / (1.0 + ks) * scale
-    b = rng.standard_normal(degree + 1) / (1.0 + ks) * scale
+    a = rng.standard_normal(degree + 1) / (1.0 + ks)
+    b = rng.standard_normal(degree + 1) / (1.0 + ks)
     b[0] = 0.0
     return TrigPolynomial(tuple(a), tuple(b))

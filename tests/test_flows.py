@@ -18,7 +18,7 @@ from reilly_lab.flows import (ConcavitySeries, _crossing_sweep,
                               steiner_fit_residual, weingarten_wave)
 from reilly_lab.numerics import spectral_diff
 from reilly_lab.presets import (disk_body, ellipse_body, random_convex_bodies,
-                                wavy_body)
+                                sphere_body, spheroid_body, wavy_body)
 from reilly_lab.reporting import flow_csv
 from reilly_lab.trig import TrigPolynomial
 
@@ -81,6 +81,21 @@ def test_quermass_triple_disk():
     assert triple.w_n_minus_2 == pytest.approx(math.pi, abs=1e-10)
     assert abs(report.slack) <= 1e-9
     assert report.passed
+
+
+@pytest.mark.parametrize("body, equality", [
+    (sphere_body(1.0), True), (spheroid_body(), False)],
+    ids=["sphere", "spheroid"])
+def test_alexandrov_revolution_bodies(body, equality):
+    # N = n = 3: delta1^2 >= (3/2) delta0 delta2, with equality on the
+    # round sphere, where both sides read (4 pi)^2
+    _, report = quermassintegrals(body, InverseDimension(1.0 / 3.0, 3))
+    assert report.passed
+    if equality:
+        assert report.rhs == pytest.approx(16 * math.pi**2, rel=1e-10)
+        assert abs(report.slack) <= 1e-10 * report.rhs
+    else:
+        assert report.slack == pytest.approx(1.094, abs=1e-3)
 
 
 def test_alexandrov_corpus():

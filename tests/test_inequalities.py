@@ -15,7 +15,8 @@ from reilly_lab.inequalities import (TestFunction, boundary_cd_report,
                                      check_veysseire, sharpness_ratio)
 from reilly_lab.models import build_gaussian_interval, build_model_density
 from reilly_lab.operators import boundary_geometry, weighted_integral
-from reilly_lab.presets import (disk_body, ellipse_body, gaussian_ball,
+from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
+                                gaussian_ball,
                                 gaussian_half_model, model_density_params,
                                 random_convex_bodies,
                                 random_test_polynomials, sphere_body,
@@ -87,20 +88,12 @@ def test_bln_meanconvex_gaussian_ball():
     assert auto.params["C"] == pytest.approx(0.64)
 
 
-def test_zero_mean_flag_is_inert_for_mean_free_checks():
-    # enforcing zero mean shifts f by a constant, which the variance-based
-    # statements are invariant under
-    model = build_gaussian_interval(1.0, 6.0, 1001)
-    f = np.sin(model.t) + 2.0
-    plain = check_bln(model, TestFunction.from_samples(f), "neumann", TH_INF)
-    centered = check_bln(model, TestFunction.from_samples(f, zero_mean=True),
-                         "neumann", TH_INF)
-    assert centered.slack == pytest.approx(plain.slack, abs=1e-10)
-    poly = TrigPolynomial((2.0, 1.0))
-    a = check_colesanti(disk_body(), TestFunction.from_trig(poly), TH2)
-    b = check_colesanti(disk_body(),
-                        TestFunction.from_trig(poly, zero_mean=True), TH2)
-    assert b.slack == pytest.approx(a.slack, abs=1e-10)
+def test_colesanti_is_shift_invariant_on_the_disk():
+    # on the unit disk H_mu = 1 and mu(boundary)/mu(M) = 2 = N/(N-1) at
+    # N = 2, so adding a constant to f leaves the slack unchanged
+    plain = check_colesanti(disk_body(), TrigPolynomial((0.0, 1.0)), TH2)
+    shifted = check_colesanti(disk_body(), TrigPolynomial((2.0, 1.0)), TH2)
+    assert shifted.slack == pytest.approx(plain.slack, abs=1e-10)
 
 
 def test_bln_shift_and_scale_invariance():
@@ -378,6 +371,29 @@ def test_mean_curvature_strict_cases():
     for body, theta in ((ellipse_body(), TH2), (spheroid_body(), TH3)):
         hr1, hr2, link = check_mean_curvature(body, theta)
         assert hr1.slack > 1e-3 and hr2.slack > 1e-3 and link.slack > 1e-3
+
+
+@pytest.mark.parametrize("n, theta", [(2, TH2), (3, TH3)], ids=["n2", "n3"])
+def test_mean_curvature_flat_ball_equalities(n, theta):
+    # unit ball in R^n: H_mu = n - 1, mu(M) = |S^(n-1)| / n, so all three
+    # statements hold with equality at N = n
+    hr1, hr2, link = check_mean_curvature(flat_ball(n, 1.0, 1001), theta)
+    sphere_area = 2 * math.pi if n == 2 else 4 * math.pi
+    assert hr1.lhs == pytest.approx((n - 1) * sphere_area, rel=1e-14)
+    assert hr2.rhs == pytest.approx(sphere_area / (n - 1), rel=1e-14)
+    for rep in (hr1, hr2, link):
+        assert rep.passed
+        assert abs(rep.slack) <= 1e-14 * max(1.0, abs(rep.rhs))
+
+
+def test_mean_curvature_gaussian_ball_is_strict():
+    # H_mu = 2/R - R is constant on the boundary sphere, so only the
+    # Cauchy-Schwarz link is an equality
+    hr1, hr2, link = check_mean_curvature(gaussian_ball(3, 0.8, 1001), TH3)
+    assert all(rep.passed for rep in (hr1, hr2, link))
+    assert hr1.slack == pytest.approx(2.8725, abs=1e-4)
+    assert hr2.slack == pytest.approx(0.7709, abs=1e-4)
+    assert abs(link.slack) <= 1e-14 * link.rhs
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reilly_lab.bodies import (build_plane_body, build_revolution_body,
-                               build_sphere_body, build_sphere_cap,
-                               build_spheroid_body)
+from reilly_lab.bodies import (build_plane_body, build_sphere_body,
+                               build_sphere_cap, build_spheroid_body)
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import ConvexityViolation
 from reilly_lab.models import (ModelDensityParams, build_gaussian_interval,
@@ -137,18 +136,6 @@ def test_spheroid_closed_form_curvature_extremes():
     assert np.max(k2[1:-1]) == pytest.approx(c / a**2, abs=1e-4)
 
 
-def test_revolution_body_generic_spec_and_rejection():
-    body = build_revolution_body(("sphere", 1.0), n_cells=256)
-    assert body.total_arclength == pytest.approx(math.pi, abs=1e-12)
-    prolate = build_revolution_body(
-        (lambda t: np.sin(t), lambda t: 1.5 * np.cos(t), 0.0, math.pi),
-        n_cells=512)
-    k1, k2 = prolate.principal_curvatures()
-    assert np.min(np.minimum(k1, k2)[1:-1]) > 0.0
-    with pytest.raises(ValueError):
-        build_revolution_body("nonsense")
-
-
 def test_sphere_cap_invariants():
     cap = build_sphere_cap(math.pi / 3)
     assert cap.area() == pytest.approx(math.pi)          # 2 pi (1 - cos pi/3)
@@ -169,22 +156,13 @@ def test_radial_ball_boundary_data():
     assert gauss.boundary_h_mu() == pytest.approx(2.0 / 0.8 - 0.8)
 
 
-def _arclength_by_segments(x, y, tau0, tau1, n_cells, refine=16,
-                           speed_fn=None):
+def _arclength_by_segments(x, y, tau0, tau1, n_cells, speed_fn):
     # reference: the per-segment CubicSpline.integrate loop that the
     # vectorised power-form sum in bodies._arclength_reparametrize replaced
     from scipy.interpolate import CubicSpline
-    nf = refine * n_cells
+    nf = 16 * n_cells
     tau = np.linspace(tau0, tau1, nf + 1)
-    if speed_fn is not None:
-        sp = np.asarray(speed_fn(tau), dtype=float)
-    else:
-        eps = (tau1 - tau0) * 6e-6
-        taum = np.clip(tau, tau0 + eps, tau1 - eps)
-        dx = (np.asarray(x(taum + eps)) - np.asarray(x(taum - eps))) / (2 * eps)
-        dy = (np.asarray(y(taum + eps)) - np.asarray(y(taum - eps))) / (2 * eps)
-        sp = np.hypot(dx, dy)
-    speed = CubicSpline(tau, sp)
+    speed = CubicSpline(tau, np.asarray(speed_fn(tau), dtype=float))
     cum = np.empty(nf + 1)
     cum[0] = 0.0
     seg = [speed.integrate(tau[i], tau[i + 1]) for i in range(nf)]
@@ -214,13 +192,3 @@ def test_spheroid_arclength_bitwise_equals_segment_loop(a, c, n_cells):
         assert np.array_equal(body.s, ref[0])
         assert np.array_equal(body.r[1:-1], ref[1][1:-1])
         assert np.array_equal(body.z, ref[2])
-
-
-def test_callable_profile_arclength_bitwise_equals_segment_loop():
-    x = lambda t: np.sin(t) * (1.0 + 0.1 * np.cos(t) ** 2)
-    y = lambda t: 1.1 * np.cos(t)
-    body = build_revolution_body((x, y, 0.0, math.pi), n_cells=512)
-    s, r, z = _arclength_by_segments(x, y, 0.0, math.pi, 512)
-    assert np.array_equal(body.s, s)
-    assert np.array_equal(body.r[1:-1], r[1:-1])
-    assert np.array_equal(body.z, z)

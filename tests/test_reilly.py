@@ -151,14 +151,6 @@ def test_reilly_rejects_non_radial_samples():
         reilly_residual(ball, ball.r.copy())  # u = r has a cusp at 0
 
 
-def test_reilly_variant_tags():
-    model = build_gaussian_interval(1.0, 6.0, 501)
-    rep = reilly_residual(model, model.t**2, variant="neumann-const")
-    assert rep.params["variant"] == "neumann-const"
-    with pytest.raises(ValueError):
-        reilly_residual(model, model.t**2, variant="bogus")
-
-
 @pytest.mark.parametrize("n_value", [20.0, -2.0, math.inf])
 def test_cd_margin_ball_is_the_minimum_of_both_fields(n_value):
     from reilly_lab.presets import gaussian_ball
