@@ -29,11 +29,10 @@ from .flows import (ConcavitySeries, FlowResult, FlowState, QuermassTriple,
                     minkowski_sum_support, parallel_normal_flow,
                     parallel_normal_flows, quermassintegrals,
                     weingarten_wave, weingarten_waves)
-from .inequalities import (TestFunction, boundary_cd_report, check_bln,
-                           check_boundary_gaps, check_colesanti,
-                           check_dual_colesanti, check_lichnerowicz,
-                           check_mean_curvature, check_veysseire,
-                           sharpness_ratio)
+from .inequalities import (boundary_cd_report, check_bln, check_boundary_gaps,
+                           check_colesanti, check_dual_colesanti,
+                           check_lichnerowicz, check_mean_curvature,
+                           check_veysseire, sharpness_ratio)
 from .models import (IntervalModel, ModelDensityParams, RadialBall,
                      build_gaussian_interval, build_interval_model,
                      build_model_density, build_radial_ball)
@@ -49,7 +48,7 @@ __all__ = [
     "BoundaryGeometry", "CheckReport", "ConcavitySeries", "ConvexPlaneBody",
     "DiscreteOperator", "FlowResult", "FlowState", "IntervalModel",
     "InverseDimension", "ModelDensityParams", "QuermassTriple", "RadialBall",
-    "RevolutionBody3D", "SphereCap", "TestFunction", "TrigPolynomial",
+    "RevolutionBody3D", "SphereCap", "TrigPolynomial",
     "assemble_laplacian", "boundary_cd_report", "boundary_gap_revolution",
     "boundary_geometry", "build_gaussian_interval", "build_interval_model",
     "build_model_density", "build_plane_body", "build_radial_ball",

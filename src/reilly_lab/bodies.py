@@ -160,10 +160,6 @@ class RevolutionBody3D:
         return float(self.s[1] - self.s[0])
 
     @property
-    def total_arclength(self) -> float:
-        return float(self.s[-1])
-
-    @property
     def n_cells(self) -> int:
         return self.s.size - 1
 

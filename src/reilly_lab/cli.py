@@ -126,6 +126,10 @@ def _cmd_flow(args) -> int:
     if spec["kind"] == "weingarten":
         if not isinstance(body, ConvexPlaneBody):
             raise ConfigError("the Weingarten wave runs on plane bodies")
+        speed = float(phi(body.angles).min())
+        if speed <= 0.0:
+            raise ConfigError("phi_coeffs must give a positive initial "
+                              f"speed on the body, got min {speed:.6g}")
         result = weingarten_wave(body, phi, spec["t_end"], spec["dt"],
                                  snapshot_every=spec["snapshot_every"])
     else:

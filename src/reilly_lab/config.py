@@ -372,12 +372,15 @@ def validate_flow(cfg: SuiteConfig) -> dict:
         raise ConfigError(f"t_end = {t_end!r} must span at least two and "
                           f"finitely many steps of dt = {dt!r}")
     _check_whole_steps(t_end, dt)
+    m = _to_int(flow.get("m", "256"), "m")
+    if m < 8:
+        raise ConfigError(f"m must be >= 8, got {m}")
     return {
         "kind": kind,
         "body": flow.get("body", "disk"),
         "phi_coeffs": coeffs,
         "t_end": t_end,
         "dt": dt,
-        "m": _to_int(flow.get("m", "256"), "m"),
+        "m": m,
         "snapshot_every": snapshot_every,
     }

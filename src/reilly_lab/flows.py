@@ -12,9 +12,9 @@ from the polyline with 4th-order periodic differences and is evaluated
 once per state, so an accepted step's geometry is the next step's first
 stage.
 
-Flow breakdown (curvature floor, self-intersection, loss of speed
-positivity) is a reported outcome: the run returns its partial history
-with alive = False and never raises for it.
+Flow breakdown (non-finite state, curvature floor, self-intersection,
+loss of positive measure) is a reported outcome: the run returns its
+partial history with alive = False and never raises for it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
 from .checks import CheckReport, from_inequality, inequality_tolerance
 from .dimension import InverseDimension
 from .errors import CapOverflow, ConvexityViolation
-from .inequalities import TestFunction
 from .numerics import periodic_diff1, periodic_diff12, spectral_diff
 from .numerics import periodic_diff2  # noqa: F401  (the 2-D reference kernels)
 from .operators import boundary_geometry, weighted_integral
@@ -266,8 +265,6 @@ def _crossing_sweep(points: np.ndarray) -> bool:
 
 
 def _phi_samples(body_angles: np.ndarray, phi) -> np.ndarray:
-    if isinstance(phi, TestFunction):
-        phi = {"trig": phi.trig, "grid": phi.samples}[phi.kind]
     if isinstance(phi, TrigPolynomial):
         return phi(body_angles)
     arr = np.asarray(phi, dtype=float)
@@ -358,7 +355,7 @@ def _renorm(x: np.ndarray) -> np.ndarray:
 
 
 def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
-              snapshot_every, nonfinite, project=lambda z: z, reject=None,
+              snapshot_every, project=lambda z: z, reject=None,
               watch=None, aux=()):
     """Integrate dy/dt = rhs(y, g, *aux) with classical fixed-step RK4.
 
@@ -372,8 +369,9 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     series measure.  project maps stages back onto the constraint
     manifold, reject(k, y) may veto one member's step k and
     watch(y_prev, g_prev, y, g, ids) sees the accepted steps of the
-    members ids.  A candidate whose mass is not finite and positive ends
-    the run as "measure-loss".
+    members ids.  A candidate with a non-finite entry ends the run as
+    "nonfinite", and one whose mass is not finite and positive as
+    "measure-loss".
     For a batch, mass answers per member and every check acts per member:
     a member that breaks down gets its death snapshot at its last accepted
     time and leaves the batch by column selection, with its aux, so the
@@ -419,7 +417,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
         g_next = geometry(candidate)
         finite = each(np.isfinite(candidate).all(axis=marker_axes))
         floor = each(np.min(g_next[3], axis=0) <= KAPPA_FLOOR)
-        why = [nonfinite if not ok else "curvature-floor" if low else None
+        why = ["nonfinite" if not ok else "curvature-floor" if low else None
                for ok, low in zip(finite, floor)]
         if reject is not None:
             why = [w or ("self-intersection" if reject(k, col(candidate, c))
@@ -558,9 +556,8 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
 
     runs = _rk4_flow(
         y, g, geometry, rhs, lambda x, phi_vals, _: (x, phi_vals), mass,
-        phi_vals, t_end, dt, snapshot_every, "curvature-floor",
-        project=project, reject=reject, watch=watch,
-        aux=(phi_vals, periodic_diff1(phi_vals, hy)))
+        phi_vals, t_end, dt, snapshot_every, project=project, reject=reject,
+        watch=watch, aux=(phi_vals, periodic_diff1(phi_vals, hy)))
     for (result, _), record, member_drift in zip(runs, diagnostics, drift):
         result.normal_drift = member_drift
         result.diagnostics.update(record)
@@ -623,7 +620,7 @@ def weingarten_waves(members, t_end: float, dt: float,
         y, geometry(y), geometry, lambda z, g: _wave_rhs(z, g, hy),
         lambda z: (z[..., :2], np.exp(z[..., 2])),
         lambda z, g: polyline_area(z[..., :2], hy), phi_vals, t_end, dt,
-        snapshot_every, "positivity-loss")
+        snapshot_every)
     for result, last in runs:
         result.diagnostics["min_phi"] = float(np.exp(last[:, 2]).min())
     return [result for result, _ in runs]

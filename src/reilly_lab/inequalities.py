@@ -8,8 +8,7 @@ through theta = 1/N so the limit cases come out exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,69 +27,6 @@ from .operators import (DIRICHLET, NEUMANN, PERIODIC, assemble_laplacian,
 from .trig import TrigPolynomial
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Test function for inequality checks.
-
-    kind 'trig' evaluates a trigonometric polynomial (exact derivatives);
-    'grid' carries raw samples (differentiated spectrally on closed curves,
-    4th-order on intervals); 'model-sharpness' is the extremal function
-    f = R' of a model density.
-    """
-
-    __test__ = False          # not a pytest collectable despite the name
-
-    kind: str
-    trig: Optional[TrigPolynomial] = None
-    samples: Optional[np.ndarray] = None
-    params: Optional[ModelDensityParams] = None
-
-    @classmethod
-    def from_trig(cls, poly) -> "TestFunction":
-        if not isinstance(poly, TrigPolynomial):
-            poly = TrigPolynomial.from_flat(poly)
-        return cls(kind="trig", trig=poly)
-
-    @classmethod
-    def from_samples(cls, samples) -> "TestFunction":
-        return cls(kind="grid", samples=np.asarray(samples, dtype=float))
-
-    @classmethod
-    def model_sharpness(cls, params: ModelDensityParams) -> "TestFunction":
-        return cls(kind="model-sharpness", params=params)
-
-    def on_interval(self, model: IntervalModel):
-        """(f, f') sampled on the model grid."""
-        if self.kind == "grid":
-            f = self.samples
-            if f.shape != (model.n_pts,):
-                raise ValueError("sample test function must match the grid")
-            return f.copy(), diff1(f, model.h)
-        if self.kind == "model-sharpness":
-            _, rp, rpp = self.params.profile()
-            return rp(model.t), rpp(model.t)
-        raise ValueError("trig test functions live on closed boundaries")
-
-    def on_curve(self, body: ConvexPlaneBody):
-        """(f, df/dtheta) on the body's angle grid."""
-        if self.kind == "trig":
-            return self.trig(body.angles), self.trig(body.angles, derivative=1)
-        if self.kind == "grid":
-            f = self.samples
-            if f.shape != (body.m,):
-                raise ValueError("sample test function must match the angle grid")
-            return f.copy(), spectral_diff(f, 1)
-        raise ValueError("model-sharpness functions live on interval models")
-
-
-def _as_test_function(f) -> TestFunction:
-    if isinstance(f, TestFunction):
-        return f
-    if isinstance(f, TrigPolynomial):
-        return TestFunction.from_trig(f)
-    return TestFunction.from_samples(f)
-
-
 def _variance(f: np.ndarray, domain) -> float:
     mass = domain.mass()
     mean = weighted_integral(f, domain) / mass
@@ -102,12 +38,14 @@ def _variance(f: np.ndarray, domain) -> float:
 
 
 def check_bln(domain, f, case: str, theta: InverseDimension,
-              C: Union[str, float] = "auto") -> CheckReport:
+              C: Union[str, float] = "auto", fp=None) -> CheckReport:
     """Weighted Poincare inequality with the inverse-curvature weight.
 
     cases: 'neumann' (convex domain), 'dirichlet' (mean-convex, f = 0 on
     the boundary), 'meanconvex' (strictly mean-convex; boundary variance
     term with constant C, 'auto' = the mu/H_mu-weighted boundary mean).
+    f holds the test function's samples on the domain's grid; its
+    derivative fp defaults to 4th-order differences of f.
 
     lhs = N/(N-1) * Var(f)  (or int f^2 for 'dirichlet');
     rhs = int <Ric_{mu,N}^{-1} grad f, grad f> dmu  (+ boundary term).
@@ -115,22 +53,24 @@ def check_bln(domain, f, case: str, theta: InverseDimension,
     case = case.lower()
     if case not in ("neumann", "dirichlet", "meanconvex"):
         raise ValueError(f"unknown case {case!r}")
-    fn = _as_test_function(f)
-    if isinstance(domain, IntervalModel):
-        return _bln_interval(domain, fn, case, theta, C)
-    if isinstance(domain, RadialBall):
-        return _bln_radial(domain, fn, case, theta, C)
-    raise TypeError(f"check_bln does not support {type(domain).__name__}")
+    if not isinstance(domain, (IntervalModel, RadialBall)):
+        raise TypeError(f"check_bln does not support {type(domain).__name__}")
+    f = np.asarray(f, dtype=float)
+    if f.shape != (domain.n_pts,):
+        raise ValueError("sample test function must match the grid")
+    if fp is None:
+        fp = diff1(f, domain.h)
+    bln = _bln_interval if isinstance(domain, IntervalModel) else _bln_radial
+    return bln(domain, f, fp, case, theta, C)
 
 
-def _bln_interval(model: IntervalModel, fn: TestFunction, case: str,
+def _bln_interval(model: IntervalModel, f, fp, case: str,
                   theta: InverseDimension, C) -> CheckReport:
     ric = model.bakry_emery(theta)
     if np.min(ric) <= 0.0:
         raise CurvatureNotPositive(
             f"min Ric_(mu,N) = {np.min(ric):.3e} on {model.label}"
         )
-    f, fp = fn.on_interval(model)
     dens = model.density
     notes = {}
     if case == "dirichlet":
@@ -168,12 +108,8 @@ def _bln_interval(model: IntervalModel, fn: TestFunction, case: str,
     )
 
 
-def _bln_radial(ball: RadialBall, fn: TestFunction, case: str,
+def _bln_radial(ball: RadialBall, f, fp, case: str,
                 theta: InverseDimension, C) -> CheckReport:
-    if fn.kind != "grid":
-        raise ValueError("radial domains take sampled radial test functions")
-    f = fn.samples
-    fp = diff1(f, ball.h)
     ric_radial, tangential = ball.bakry_emery(theta)
     if min(ric_radial.min(), tangential.min()) <= 0.0:
         raise CurvatureNotPositive(f"Ric_(mu,N) not positive on {ball.label}")
@@ -327,12 +263,17 @@ def check_veysseire(model: IntervalModel) -> CheckReport:
 # boundary inequalities on convex plane bodies
 
 
-def _curve_data(body: ConvexPlaneBody, fn: TestFunction):
-    """f and its arclength derivative df/ds on the curve."""
-    f, ftheta = fn.on_curve(body)
+def _curve_data(body: ConvexPlaneBody, f):
+    """f and its arclength derivative df/ds on the curve: a
+    TrigPolynomial is differentiated exactly, samples on the angle grid
+    spectrally."""
     r = body.curvature_radius
-    fs = ftheta / r
-    return f, fs
+    if isinstance(f, TrigPolynomial):
+        return f(body.angles), f(body.angles, derivative=1) / r
+    f = np.asarray(f, dtype=float)
+    if f.shape != (body.m,):
+        raise ValueError("sample test function must match the angle grid")
+    return f, spectral_diff(f, 1) / r
 
 
 def check_colesanti(body: ConvexPlaneBody, f, theta: InverseDimension,
@@ -345,9 +286,8 @@ def check_colesanti(body: ConvexPlaneBody, f, theta: InverseDimension,
     beta = (N-1)/N mu(boundary)/mu(M) - H_mu, guarded against the ball
     equality case where int beta dmu = 0.
     """
-    fn = _as_test_function(f)
     geom = boundary_geometry(body)
-    fvals, fs = _curve_data(body, fn)
+    fvals, fs = _curve_data(body, f)
     mass = body.mass()
     int_f = weighted_integral(fvals, body)
     lhs = (weighted_integral(geom.H_mu * fvals**2, body)
@@ -382,13 +322,12 @@ def check_dual_colesanti(body: ConvexPlaneBody, f, rho: float = 0.0,
     C = 'auto' minimizes the right side (a 1-D quadratic); any C is
     admissible, so the minimizer makes the check strongest.
     """
-    fn = _as_test_function(f)
     geom = boundary_geometry(body)
     if np.min(geom.H_mu) <= 0.0:
         raise MeanConvexityViolation(
             f"min H_mu = {np.min(geom.H_mu):.3e} on {body.label}"
         )
-    fvals, fs = _curve_data(body, fn)
+    fvals, fs = _curve_data(body, f)
     # the boundary Laplacian along the curve is f_ss (no potential)
     lf = spectral_diff(fs, 1) / body.curvature_radius
     lhs = weighted_integral(geom.II * fs**2, body)

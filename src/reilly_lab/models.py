@@ -8,7 +8,7 @@ comes from the identity under test, not from differencing the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -12,8 +12,7 @@ from .bodies import (ConvexPlaneBody, build_plane_body, build_sphere_body,
 from .dimension import InverseDimension
 from .errors import ConfigError, ConvexityViolation
 from .models import (ModelDensityParams, build_gaussian_interval,
-                     build_interval_model, build_model_density,
-                     build_radial_ball)
+                     build_interval_model, build_radial_ball)
 from .trig import TrigPolynomial, random_trig_polynomial
 
 DEFAULT_M = 512

@@ -40,11 +40,10 @@ from .flows import (cap_extension_series, concavity_check,
                     minkowski_sum_support, parallel_normal_flow,
                     parallel_normal_flows, quermassintegrals,
                     steiner_fit_residual, weingarten_waves)
-from .inequalities import (TestFunction, boundary_cd_report, check_bln,
-                           check_boundary_gaps, check_colesanti,
-                           check_dual_colesanti, check_lichnerowicz,
-                           check_mean_curvature, check_veysseire,
-                           sharpness_ratio)
+from .inequalities import (boundary_cd_report, check_bln, check_boundary_gaps,
+                           check_colesanti, check_dual_colesanti,
+                           check_lichnerowicz, check_mean_curvature,
+                           check_veysseire, sharpness_ratio)
 from .models import build_interval_model, build_model_density
 from .operators import (DIRICHLET, PERIODIC, assemble_laplacian,
                         eigenvalues, spectral_gap)
@@ -95,14 +94,14 @@ def _gamma2(model, u, theta, **params) -> CheckReport:
 
 
 def _bln_samples(domain, u, case: str, **kwargs) -> CheckReport:
-    return check_bln(domain, TestFunction.from_samples(u(domain)), case,
-                     TH_INF, **kwargs)
+    return check_bln(domain, u(domain), case, TH_INF, **kwargs)
 
 
 def _bln_extremal(variant: str) -> CheckReport:
     params = model_density_params(1.0, 5.0, variant=variant)
-    return check_bln(build_model_density(params, 4001),
-                     TestFunction.model_sharpness(params), variant, TH5)
+    model = build_model_density(params, 4001)
+    _, rp, rpp = params.profile()
+    return check_bln(model, rp(model.t), variant, TH5, fp=rpp(model.t))
 
 
 def _sharp(n_value: float, beta_trunc=None) -> CheckReport:

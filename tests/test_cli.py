@@ -639,3 +639,20 @@ def test_sweep_lichnerowicz_unresolvable_rho_and_n_name_both(text, tmp_path,
 def test_flow_refuses_revolution_body_specs(spec, capsys):
     assert run_cli(["flow", "--body", spec]) == 2
     _config_error(capsys, "unknown body")
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--m", "0"], "m must be >= 8"),
+    (["--m", "0", "--body", "cap:0.5"], "m must be >= 8"),
+    (["--kind", "weingarten", "--phi-coeffs", "-1"], "phi_coeffs"),
+    (["--kind", "weingarten", "--phi-coeffs", "0.1,1"], "phi_coeffs"),
+])
+def test_flow_refuses_a_tiny_m_and_a_speed_that_is_not_positive(
+        flags, key, capsys):
+    assert run_cli(["flow", "--t-end", "0.01", "--dt", "1e-3", *flags]) == 2
+    _config_error(capsys, key)
+
+
+def test_flow_runs_odd_m_on_a_cap(capsys):
+    assert run_cli(["flow", "--body", "cap:0.5", "--m", "9", "--t-end",
+                    "0.01", "--dt", "1e-3"]) == 0

@@ -621,7 +621,7 @@ def test_batched_catalogue_waves_match_solo_runs_bytewise():
 
 
 @pytest.mark.parametrize("dt, death", [(3.3e-3, "curvature-floor"),
-                                       (3.6e-3, "positivity-loss")])
+                                       (3.6e-3, "nonfinite")])
 @pytest.mark.parametrize("dying_first", [True, False])
 def test_batched_wave_member_dies_alone(dt, death, dying_first):
     # between the two members' step limits the ellipse breaks down early

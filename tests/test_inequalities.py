@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import (CurvatureNotPositive, MeanConvexityViolation,
                                StrengthenedDegenerate)
-from reilly_lab.inequalities import (TestFunction, boundary_cd_report,
+from reilly_lab.inequalities import (boundary_cd_report,
                                      check_bln, check_boundary_gaps,
                                      check_colesanti, check_dual_colesanti,
                                      check_lichnerowicz, check_mean_curvature,
@@ -35,8 +35,7 @@ TH5 = InverseDimension.from_n(5.0)
 
 def test_bln_gaussian_linear_near_equality():
     model = build_gaussian_interval(1.0, 6.0, 4001)
-    rep = check_bln(model, TestFunction.from_samples(model.t.copy()),
-                    "neumann", TH_INF)
+    rep = check_bln(model, model.t.copy(), "neumann", TH_INF)
     assert rep.passed
     assert rep.slack >= -1e-6
     # truncation makes the variance slightly smaller than the mass
@@ -46,8 +45,8 @@ def test_bln_gaussian_linear_near_equality():
 def test_bln_model_extremal_sharpness():
     params = model_density_params(1.0, 5.0)
     model = build_model_density(params, 4001)
-    rep = check_bln(model, TestFunction.model_sharpness(params), "neumann",
-                    TH5)
+    _, rp, rpp = params.profile()
+    rep = check_bln(model, rp(model.t), "neumann", TH5, fp=rpp(model.t))
     assert rep.passed
     assert rep.slack / rep.rhs <= 1e-3
 
@@ -55,8 +54,8 @@ def test_bln_model_extremal_sharpness():
 def test_bln_dirichlet_half_model():
     params = model_density_params(1.0, 5.0, variant="dirichlet")
     model = build_model_density(params, 4001)
-    rep = check_bln(model, TestFunction.model_sharpness(params), "dirichlet",
-                    TH5)
+    _, rp, rpp = params.profile()
+    rep = check_bln(model, rp(model.t), "dirichlet", TH5, fp=rpp(model.t))
     assert rep.passed
     assert rep.slack / rep.rhs <= 1e-3
 
@@ -65,22 +64,34 @@ def test_bln_rejects_nonpositive_curvature():
     from reilly_lab.models import build_interval_model
     flat = build_interval_model(0.0, 1.0, 101, V=lambda t: np.zeros_like(t))
     with pytest.raises(CurvatureNotPositive):
-        check_bln(flat, TestFunction.from_samples(flat.t.copy()), "neumann",
-                  TH_INF)
+        check_bln(flat, flat.t.copy(), "neumann", TH_INF)
 
 
 def test_bln_dirichlet_requires_boundary_zeros():
     model = build_gaussian_interval(1.0, 3.0, 501)
     with pytest.raises(ValueError):
-        check_bln(model, TestFunction.from_samples(np.ones(501)), "dirichlet",
-                  TH_INF)
+        check_bln(model, np.ones(501), "dirichlet", TH_INF)
+
+
+def test_bln_refuses_bad_input_in_order():
+    body = disk_body(m=64)
+    # the case first, then the domain, then the samples' length
+    with pytest.raises(ValueError, match="unknown case 'robin'"):
+        check_bln(body, np.ones(3), "robin", TH_INF)
+    with pytest.raises(TypeError,
+                       match="check_bln does not support ConvexPlaneBody"):
+        check_bln(body, np.ones(3), "neumann", TH_INF)
+    for domain in (build_gaussian_interval(1.0, 3.0, 501),
+                   gaussian_ball(2, 0.8, 201)):
+        with pytest.raises(ValueError, match="must match the grid"):
+            check_bln(domain, np.ones(domain.n_pts - 1), "neumann", TH_INF)
 
 
 def test_bln_meanconvex_gaussian_ball():
     ball = gaussian_ball(2, 0.8, 1001)
-    fn = TestFunction.from_samples(ball.r**2)
-    explicit = check_bln(ball, fn, "meanconvex", TH_INF, C=0.0)
-    auto = check_bln(ball, fn, "meanconvex", TH_INF, C="auto")
+    f = ball.r**2
+    explicit = check_bln(ball, f, "meanconvex", TH_INF, C=0.0)
+    auto = check_bln(ball, f, "meanconvex", TH_INF, C="auto")
     assert explicit.passed and auto.passed
     # auto C equals the boundary value, killing the boundary term, so the
     # right side can only shrink
@@ -99,13 +110,11 @@ def test_colesanti_is_shift_invariant_on_the_disk():
 def test_bln_shift_and_scale_invariance():
     model = build_gaussian_interval(1.0, 6.0, 2001)
     f = np.sin(model.t)
-    base = check_bln(model, TestFunction.from_samples(f), "neumann", TH_INF)
-    shifted = check_bln(model, TestFunction.from_samples(f + 5.0), "neumann",
-                        TH_INF)
+    base = check_bln(model, f, "neumann", TH_INF)
+    shifted = check_bln(model, f + 5.0, "neumann", TH_INF)
     assert abs(base.slack - shifted.slack) <= 1e-10 * max(1.0, abs(base.slack))
     lam = 3.0
-    scaled = check_bln(model, TestFunction.from_samples(lam * f), "neumann",
-                       TH_INF)
+    scaled = check_bln(model, lam * f, "neumann", TH_INF)
     assert scaled.lhs == pytest.approx(lam**2 * base.lhs, rel=1e-10)
     assert scaled.rhs == pytest.approx(lam**2 * base.rhs, rel=1e-10)
     assert scaled.slack == pytest.approx(lam**2 * base.slack, rel=1e-10)
@@ -335,6 +344,21 @@ def test_dual_colesanti_quadratic_scaling():
     assert scaled.slack == pytest.approx(9.0 * base.slack, rel=1e-10)
 
 
+@pytest.mark.parametrize("check", [
+    lambda body, f: check_colesanti(body, f, TH2),
+    lambda body, f: check_colesanti(body, f, TH2, strengthened=True),
+    lambda body, f: check_dual_colesanti(body, f, rho=0.7, C="auto"),
+], ids=["colesanti", "strengthened", "dual"])
+def test_curve_checks_take_samples_of_a_trig_polynomial(check):
+    body = ellipse_body(m=128)
+    poly = TrigPolynomial((0.3, 1.0, 0.2, -0.1))
+    exact, sampled = check(body, poly), check(body, poly(body.angles))
+    assert sampled.lhs == pytest.approx(exact.lhs, rel=1e-12, abs=1e-12)
+    assert sampled.rhs == pytest.approx(exact.rhs, rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match="must match the angle grid"):
+        check(body, poly(body.angles)[1:])
+
+
 def test_dual_colesanti_rejects_nonconvex_mean(monkeypatch):
     from reilly_lab import inequalities
     from reilly_lab.operators import BoundaryGeometry
@@ -462,7 +486,7 @@ def test_bln_radial_applies_the_constant_potential_rule():
     from reilly_lab.presets import flat_ball
     flat = flat_ball(2, 1.0, 201)
     with pytest.raises(CurvatureNotPositive):
-        check_bln(flat, TestFunction.from_samples(flat.r**2), "neumann", TH2)
+        check_bln(flat, flat.r**2, "neumann", TH2)
     ball = gaussian_ball(2, 0.8, 201)
     with pytest.raises(ValueError, match="constant potential"):
-        check_bln(ball, TestFunction.from_samples(ball.r**2), "neumann", TH2)
+        check_bln(ball, ball.r**2, "neumann", TH2)

@@ -52,8 +52,8 @@ import numpy as np
 from reilly_lab import cli, flows
 from reilly_lab.checks import CheckReport
 from reilly_lab.dimension import InverseDimension
-from reilly_lab.inequalities import (TestFunction, boundary_cd_report,
-                                     check_bln, check_dual_colesanti)
+from reilly_lab.inequalities import (boundary_cd_report, check_bln,
+                                     check_dual_colesanti)
 from reilly_lab.models import build_model_density
 from reilly_lab.operators import (assemble_laplacian, boundary_gap_revolution,
                                   boundary_geometry, eigenvalues, spectral_gap)
@@ -170,11 +170,10 @@ def library_results():
     yield "reilly-residual-ball", reilly_residual(flat, flat.r**2)
     ball = gaussian_ball(2, 0.8, 401)
     theta = InverseDimension(0.0, 1)
-    yield "bln-ball-dirichlet", check_bln(
-        ball, TestFunction.from_samples(ball.r**2 - 0.64), "dirichlet", theta)
-    yield "bln-ball-meanconvex-auto", check_bln(
-        ball, TestFunction.from_samples(ball.r**2), "meanconvex", theta,
-        C="auto")
+    yield "bln-ball-dirichlet", check_bln(ball, ball.r**2 - 0.64,
+                                          "dirichlet", theta)
+    yield "bln-ball-meanconvex-auto", check_bln(ball, ball.r**2, "meanconvex",
+                                                theta, C="auto")
     yield "cd-margin-ball", cd_margin(ball, 0.5,
                                       InverseDimension.from_n(20.0, 2))
     spheroid = spheroid_body(1.0, 1.2, 256)
