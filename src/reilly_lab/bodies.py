@@ -206,6 +206,24 @@ class RevolutionBody3D:
         return -rpp[1:-1] / self.r[1:-1]
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Not-a-knot spline through (x, y): coefficients c[k, i] of (x - x[i])^(3-k)
+    in the operation order of scipy 1.17's CubicSpline, so bitwise its c."""
+    from scipy.linalg import solve_banded
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    A = np.array([np.r_[0.0, d0, dx[:-1]],
+                  np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+                  np.r_[dx[1:], d1, 0.0]])
+    b = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0,
+              3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+              (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    s = solve_banded((1, 1), A, b, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 def _arclength_reparametrize(
     x: Callable, y: Callable, tau0: float, tau1: float, n_cells: int,
     speed_fn: Callable,
@@ -216,24 +234,22 @@ def _arclength_reparametrize(
     a spline, then inverted; node positions are accurate to well below the
     differencing error of downstream consumers.
     """
-    from scipy.interpolate import CubicSpline
     nf = 16 * n_cells
     tau = np.linspace(tau0, tau1, nf + 1)
-    speed = CubicSpline(tau, np.asarray(speed_fn(tau), dtype=float))
+    c = _not_a_knot(tau, np.asarray(speed_fn(tau), dtype=float))
     # each segment's integral is the power-form antiderivative of its cubic
     # at the segment length, in the operation order scipy uses for one
-    # interval, so the sum is bitwise that of speed.integrate per segment
-    c = speed.c
-    h = speed.x[1:] - speed.x[:-1]
+    # interval, so the sum is bitwise that of CubicSpline.integrate per segment
+    h = tau[1:] - tau[:-1]
     seg = (c[3] * h + c[2] * (h * h) * 0.5 + c[1] * ((h * h) * h) * (1.0 / 3.0)
            + c[0] * (((h * h) * h) * h) * 0.25)
-    cum = np.empty(nf + 1)
-    cum[0] = 0.0
-    cum[1:] = np.cumsum(seg)
-    total = cum[-1]
-    inverse = CubicSpline(cum, tau)
-    s = np.linspace(0.0, total, n_cells + 1)
-    tt = inverse(s)
+    cum = np.r_[0.0, np.cumsum(seg)]
+    q = _not_a_knot(cum, tau)
+    s = np.linspace(0.0, cum[-1], n_cells + 1)
+    # the inverse spline q at s, in scipy's PPoly search and Horner order
+    i = np.clip(np.searchsorted(cum, s, "right") - 1, 0, nf - 1)
+    u = s - cum[i]
+    tt = ((q[3, i] + q[2, i] * u) + q[1, i] * (u * u)) + q[0, i] * ((u * u) * u)
     tt[0], tt[-1] = tau0, tau1
     return s, np.asarray(x(tt), dtype=float), np.asarray(y(tt), dtype=float)
 

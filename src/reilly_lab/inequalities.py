@@ -135,15 +135,31 @@ def _bln_radial(ball: RadialBall, f, fp, case: str,
     )
 
 
+def _panel_integral(f, a: float, b: float) -> float:
+    """Integral of the vectorised f over [a, b] by 16-point Gauss-Legendre on
+    16, 32, ... equal panels until two sums agree to 1e-13; inf past 4096."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    prev = math.nan
+    for panels in (16 << k for k in range(9)):
+        h = (b - a) / panels
+        mid = a + h * (np.arange(panels) + 0.5)
+        with np.errstate(all="ignore"):
+            total = float(np.sum(f(mid[:, None] + 0.5 * h * x) @ w) * 0.5 * h)
+        if abs(total - prev) <= 1e-13 * abs(total):
+            return total
+        prev = total
+    return math.inf
+
+
 def sharpness_ratio(params: ModelDensityParams, case: str = "neumann",
                     n_pts: int = 4001) -> CheckReport:
     """Sharpness diagnostic for the N/(N-1) constant with f = R'.
 
     Verifies the two closed-form integral identities (each to 1e-6
-    relative, adaptive quadrature of R^{N+1} plus the exact truncation
-    boundary term as the independent route) and records the measured
-    ratio lhs/rhs of the inequality, which approaches 1 as beta_trunc
-    grows toward the positivity endpoint.
+    relative, a Gauss-Legendre panel rule for R^{N+1} plus the exact
+    truncation boundary term as the independent route) and records the
+    measured ratio lhs/rhs of the inequality, which approaches 1 as
+    beta_trunc grows toward the positivity endpoint.
 
     f = R' is the equality case, L f = -(N rho/(N-1)) f, so in the neumann
     case the integration by parts on [-beta, beta] leaves the exact defect
@@ -183,22 +199,18 @@ def sharpness_ratio(params: ModelDensityParams, case: str = "neumann",
         lhs = params.theta.n_over_n_minus_1 * int_f2
     rhs = int_ric
     ratio = lhs / rhs if rhs else math.nan
-    # independent closed-form route: adaptive quadrature of R^{N+1} and the
-    # exact boundary term of the integration by parts on the truncated domain
-    from scipy.integrate import quad
+    # independent closed-form route: a panel rule off the grid for R^{N+1} and
+    # the exact boundary term of the integration by parts on the truncated domain
     a, b = model.a, model.b
-    int_rn1, _ = quad(lambda t: float(R(t)) ** (n_value + 1.0), a, b,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
+    int_rn1 = _panel_integral(lambda t: R(t) ** (n_value + 1.0), a, b)
     bterm = (float(Rp(b)) * float(R(b)) ** n_value
              - float(Rp(a)) * float(R(a)) ** n_value) / n_value
     closed_f2 = bterm + rho / (n_value * (n_value - 1.0)) * int_rn1
     closed_ric = rho / (n_value - 1.0) ** 2 * int_rn1
-    # integrals that vanish in double precision (a truncation or a delta
-    # too small to resolve) cannot confirm the identities: they then fail
-    rel1 = (abs(int_f2 - closed_f2) / abs(closed_f2) if closed_f2
-            else math.inf)
-    rel2 = (abs(int_ric - closed_ric) / abs(closed_ric) if closed_ric
-            else math.inf)
+    # a closed form that vanishes in double precision (a truncation or a delta
+    # too small to resolve) or is inf (no convergence) then fails its identity
+    rel1, rel2 = (abs(x - c) / abs(c) if c and math.isfinite(c) else math.inf
+                  for x, c in ((int_f2, closed_f2), (int_ric, closed_ric)))
     return from_identity(
         "sharpness-ratio", residual=max(rel1, rel2), tolerance=1e-6,
         lhs=ratio, rhs=1.0,

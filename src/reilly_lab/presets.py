@@ -129,22 +129,24 @@ def flat_ball(n_ambient: int = 2, r_outer: float = 1.0, n_pts: int = 1001):
 
 
 def body_from_spec(spec: str, m: int = DEFAULT_M):
-    """Parse the flow's body specs: disk | ellipse:a,b | wavy | cap:r.
-    Every size must be finite and positive."""
+    """Parse the flow's body specs: disk[:r] | ellipse[:a,b] | wavy | cap[:r].
+    A bare name keeps its defaults; else every size, finite and positive."""
     name, _, argtext = spec.partition(":")
+    sizes = {"disk": 1, "ellipse": 2, "wavy": 0, "cap": 1}
+    if name not in sizes:
+        raise ConfigError(f"unknown body {name!r}")
     try:
         args = [float(x) for x in argtext.split(",") if x.strip()]
+        if args and len(args) != sizes[name]:
+            raise ValueError(f"{name} takes {sizes[name]} size(s), got {len(args)}")
         if not all(math.isfinite(x) and x > 0.0 for x in args):
             raise ValueError("sizes must be finite and positive")
         if name == "disk":
-            return disk_body(m=m, radius=args[0] if args else 1.0)
+            return disk_body(m, *args)
         if name == "ellipse":
-            a, b = (args + [1.2, 1.0])[:2]
-            return ellipse_body(a, b, m=m)
+            return ellipse_body(*args, m=m)
         if name == "wavy":
             return wavy_body(m=m)
-        if name == "cap":
-            return build_sphere_cap(args[0] if args else math.pi / 3)
-    except (ValueError, IndexError, ConvexityViolation) as exc:
+        return build_sphere_cap(*(args or [math.pi / 3]))
+    except (ValueError, ConvexityViolation) as exc:
         raise ConfigError(f"bad body spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown body {name!r}")

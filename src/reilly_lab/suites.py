@@ -61,7 +61,7 @@ SUITE_NAMES = ("reilly", "bln", "spectral", "colesanti", "boundary", "flows",
 REILLY_RESOLUTIONS = (251, 501, 1001)
 
 # the catalogue's lazy imports, loaded before forking so workers share them
-FORK_PRELOAD = ("scipy.linalg", "scipy.interpolate", "scipy.integrate")
+FORK_PRELOAD = ("scipy.linalg",)
 
 TH_INF = InverseDimension(0.0, 1)
 TH2 = InverseDimension(0.5, 2)

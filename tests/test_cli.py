@@ -328,6 +328,23 @@ def test_flow_rejects_nonpositive_or_nonfinite_body_size(body, capsys):
     assert err.startswith("config error") and body in err
 
 
+@pytest.mark.parametrize("body", ["ellipse:1", "ellipse:1,2,3", "disk:1,2",
+                                  "cap:0.5,1", "wavy:1"])
+def test_flow_refuses_a_wrong_number_of_body_sizes(body, capsys):
+    # these once ran as ellipse(1, 1.2), ellipse(1, 2), disk(1), cap(0.5)
+    # and wavy, filling in or dropping sizes without a word
+    assert run_cli(["flow", "--kind", "parallel-normal", "--body", body,
+                    "--m", "32", "--t-end", "0.01", "--dt", "1e-3"]) == 2
+    _config_error(capsys, f"bad body spec {body!r}")
+
+
+def test_bare_body_names_keep_their_default_sizes():
+    from reilly_lab.presets import body_from_spec
+    assert body_from_spec("disk", m=32).label == "disk(R=1)"
+    assert body_from_spec("ellipse", m=32).label == "ellipse(a=1.2,b=1)"
+    assert body_from_spec("cap").r_cap == math.pi / 3
+
+
 def test_flow_sphere_measure_loss_is_a_reported_death(capsys):
     code = run_cli(["flow", "--body", "cap:0.5", "--phi-coeffs", "1,0,0.5",
                     "--m", "64", "--dt", "2e-3"])

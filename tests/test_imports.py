@@ -39,3 +39,17 @@ def test_flows_through_the_cli_load_no_scipy():
         f"'0.01', '--dt', '1e-3']) == 0" for args in flows)
     assert _scipy_modules_after(f"import reilly_lab.cli as cli\n{calls}") \
         == "[]"
+
+
+def test_verify_all_loads_only_scipy_linalg(tmp_path):
+    # the spheroid's splines and the sharpness quadrature run on numpy and
+    # scipy.linalg; none of the subpackages that scipy.integrate and
+    # scipy.interpolate pull in may load
+    out = str(tmp_path / "report.json")
+    call = (f"assert cli.main(['verify', '--suite', 'all', '--workers', '1', "
+            f"'--out', {out!r}]) == 0")
+    loaded = _scipy_modules_after(f"import reilly_lab.cli as cli\n{call}")
+    for name in ("scipy.integrate", "scipy.interpolate", "scipy.sparse",
+                 "scipy.optimize", "scipy.spatial"):
+        assert f"'{name}'" not in loaded
+    assert "'scipy.linalg'" in loaded

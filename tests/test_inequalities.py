@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from reilly_lab.inequalities import (boundary_cd_report,
                                      check_colesanti, check_dual_colesanti,
                                      check_lichnerowicz, check_mean_curvature,
                                      check_veysseire, sharpness_ratio)
-from reilly_lab.models import build_gaussian_interval, build_model_density
+from reilly_lab.models import (ModelDensityParams, build_gaussian_interval,
+                               build_model_density)
 from reilly_lab.operators import boundary_geometry, weighted_integral
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
                                 gaussian_ball,
@@ -192,6 +195,69 @@ def test_sharpness_rejects_unit_n_and_negative_dirichlet():
     with pytest.raises(ValueError):
         model_density_params(1.0, -1.0, beta_trunc=5.0)
         sharpness_ratio(model_density_params(1.0, -1.0, beta_trunc=5.0))
+
+
+@pytest.mark.parametrize("rho,n_value,beta_trunc,panels", [
+    (1.0, 5.0, None, 32), (100.0, 5.0, None, 32), (1.0, -2.0, 8.0, 32),
+    (1.0, -2.0, 12.0, 32), (1.0, 1.25, None, 64), (1e4, -50.0, 8.0, 512)])
+def test_panel_rule_matches_quad(rho, n_value, beta_trunc, panels):
+    # the closed-form side of sharpness_ratio integrates R^(N+1) by doubling
+    # the Gauss-Legendre panels until two sums agree; adaptive quad is the
+    # oracle. `panels` is where the rule stops (the last sum's nodes / 16):
+    # the smooth rows at the first doubling, the peaked N = -50 row only once
+    # 256 panels resolve its peak
+    from reilly_lab.inequalities import _panel_integral
+    params = (model_density_params(rho, n_value, beta_trunc=beta_trunc)
+              if beta_trunc else model_density_params(rho, n_value))
+    R = params.profile()[0]
+    a, b = -params.beta_trunc, params.beta_trunc
+    nodes = []
+
+    def f(t):
+        nodes.append(t.size)
+        return R(t) ** (n_value + 1.0)
+
+    with warnings.catch_warnings():   # quad may warn on the peaked row
+        warnings.simplefilter("ignore")
+        want, _ = quad(lambda t: float(R(t)) ** (n_value + 1.0), a, b,
+                       epsabs=1e-13, epsrel=1e-12, limit=200, points=[0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _panel_integral(f, a, b)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert nodes[-1] == 16 * panels
+
+
+def test_panel_rule_reports_inf_when_it_does_not_converge():
+    from reilly_lab.inequalities import _panel_integral
+    # a kink inside a panel limits every rule to O(h^2)
+    assert _panel_integral(lambda t: np.abs(t - 1.0 / 3.0), -1.0, 1.0) \
+        == math.inf
+
+
+@dataclasses.dataclass(frozen=True)
+class _KinkedProfile(ModelDensityParams):
+    """The N = 5 model density with a kink in R at t = 1/3."""
+
+    def profile(self):
+        R, Rp, Rpp = super().profile()
+        return (lambda t: R(t) * (1.0 + 1e-3 * np.abs(t - 1.0 / 3.0)),
+                Rp, Rpp)
+
+
+def test_sharpness_fails_with_inf_residual_when_the_closed_form_diverges(
+        capfd):
+    params = model_density_params(1.0, 5.0, beta_frac=0.9)
+    kinked = _KinkedProfile(**{f.name: getattr(params, f.name)
+                               for f in dataclasses.fields(params)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sharpness_ratio(kinked, n_pts=401)
+    assert not rep.passed
+    assert rep.residual == math.inf
+    assert rep.params["identity_rel_f2"] == math.inf
+    assert rep.params["identity_rel_ric"] == math.inf
+    assert capfd.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,33 @@ def _arclength_by_segments(x, y, tau0, tau1, n_cells, speed_fn):
     return s, np.asarray(x(tt), dtype=float), np.asarray(y(tt), dtype=float)
 
 
+# the default spheroid and spheroids from the spectra benchmark's ranges,
+# a in [0.8, 1.2] and c in [0.8, 1.5], prolate and oblate
+@pytest.mark.parametrize("a,c", [(1.0, 1.2), (0.8952, 0.9037), (0.8, 1.5),
+                                 (1.2, 0.8), (1.1604, 0.8792), (0.9731, 1.2417),
+                                 (1.0433, 0.8215), (1.2, 1.5)])
+def test_not_a_knot_fit_and_inverse_bitwise_equal_cubic_spline(a, c):
+    # bodies._not_a_knot replaces scipy.interpolate.CubicSpline, which stays
+    # the oracle here: the coefficients of the speed fit, those of a fit on
+    # the non-uniform knots an inverse has, and the evaluated inverse
+    from scipy.interpolate import CubicSpline
+    from reilly_lab.bodies import _arclength_reparametrize, _not_a_knot
+    n_cells = 1024
+    speed = lambda tau: np.sqrt(a * a * np.cos(tau) ** 2
+                                + c * c * np.sin(tau) ** 2)
+    tau = np.linspace(0.0, math.pi, 16 * n_cells + 1)
+    fit = CubicSpline(tau, speed(tau))
+    assert np.array_equal(_not_a_knot(tau, speed(tau)), fit.c)
+    cum = fit.antiderivative()(tau)
+    assert np.array_equal(_not_a_knot(cum, tau), CubicSpline(cum, tau).c)
+    identity = lambda tau: tau
+    curve = (identity, identity, 0.0, math.pi, n_cells)
+    ref = _arclength_by_segments(*curve, speed_fn=speed)
+    got = _arclength_reparametrize(*curve, speed_fn=speed)
+    for want, have in zip(ref, got):
+        assert np.array_equal(want, have)
+
+
 @pytest.mark.parametrize("n_cells", [64, 1024])
 @pytest.mark.parametrize("a,c", [(0.8, 1.5), (1.2, 0.8), (0.9731, 1.2417),
                                  (1.1604, 0.8792), (1.0, 1.0), (1.1, 1.1)])
