@@ -19,8 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
-                     build_plane_body, build_sphere_body, build_sphere_cap,
-                     build_spheroid_body)
+                     build_plane_body, build_sphere_body, build_spheroid_body)
 from .checks import CheckReport
 from .dimension import InverseDimension
 from .flows import (ConcavitySeries, FlowResult, FlowState, QuermassTriple,
@@ -52,7 +51,7 @@ __all__ = [
     "assemble_laplacian", "boundary_cd_report", "boundary_gap_revolution",
     "boundary_geometry", "build_gaussian_interval", "build_interval_model",
     "build_model_density", "build_plane_body", "build_radial_ball",
-    "build_sphere_body", "build_sphere_cap", "build_spheroid_body",
+    "build_sphere_body", "build_spheroid_body",
     "cd_margin", "check_bln", "check_boundary_gaps",
     "check_colesanti", "check_dual_colesanti", "check_lichnerowicz",
     "check_mean_curvature", "check_veysseire", "concavity_check",

@@ -36,6 +36,8 @@ class ConvexPlaneBody:
             raise ValueError("m must be even and at least 8")
         for name in ("angles", "h", "hp", "hpp"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+        if not all(np.isfinite(v).all() for v in (self.h, self.hp, self.hpp)):
+            raise ValueError("support samples h, h', h'' must be finite")
         radius = self.curvature_radius
         if np.any(radius <= 0.0):
             k = int(np.argmin(radius))
@@ -105,6 +107,8 @@ def build_plane_body(
 def plane_body_from_samples(h: np.ndarray, label: str = "body") -> ConvexPlaneBody:
     """Plane body from support samples; derivatives via FFT differentiation."""
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("support samples must be finite")
     m = h.size
     angles = np.arange(m) * (2.0 * math.pi / m)
     return ConvexPlaneBody(m=m, angles=angles, h=h,
@@ -269,7 +273,8 @@ def build_sphere_body(radius: float = 1.0, n_cells: int = 1024) -> RevolutionBod
                    f"sphere(R={radius:g})")
 
 
-def build_spheroid_body(a: float, c: float, n_cells: int = 1024) -> RevolutionBody3D:
+def build_spheroid_body(a: float = 1.0, c: float = 1.2,
+                        n_cells: int = 1024) -> RevolutionBody3D:
     """Spheroid with equatorial semi-axis a and polar semi-axis c.
 
     The ellipse quarter-turn parametrization (a sin tau, c cos tau) is
@@ -310,7 +315,3 @@ class SphereCap:
         """Latitude quadrature of sin(phi); independent check of area()."""
         phi = np.linspace(0.0, self.r_cap, 4097)
         return 2.0 * math.pi * simpson_uniform(np.sin(phi), phi[1] - phi[0])
-
-
-def build_sphere_cap(r_cap: float) -> SphereCap:
-    return SphereCap(r_cap=r_cap)

@@ -18,7 +18,7 @@ from .errors import ConfigError, ReillyLabError
 from .flows import (concavity_check, latitude_circle, parallel_normal_flow,
                     weingarten_wave)
 from .presets import body_from_spec
-from .reporting import emit_report, flow_csv, overall_pass, sweep_csv
+from .reporting import emit_report, flow_csv, sweep_csv
 from .suites import run_suite_checks
 from .trig import TrigPolynomial
 
@@ -104,7 +104,7 @@ def _cmd_verify(args) -> int:
     for r in failed:
         print(f"# FAIL {r.name} slack={r.slack:.6g} "
               f"tolerance={r.tolerance:.6g}", file=sys.stderr)
-    return EXIT_OK if overall_pass(reports) else EXIT_CHECK_FAILURE
+    return EXIT_OK if all(r.gate() for r in reports) else EXIT_CHECK_FAILURE
 
 
 def _cmd_sweep(args) -> int:

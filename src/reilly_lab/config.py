@@ -173,7 +173,7 @@ def _sharpness_row(rho: float, n_value: float, case: str, beta_frac: float,
     except ValueError as exc:
         raise ConfigError(f"{key} = {value!r} at N = {n_value!r}: "
                           f"{exc}") from exc
-    return lambda: sharpness_ratio(params, case=case, n_pts=n_pts)
+    return lambda: sharpness_ratio(params, n_pts=n_pts)
 
 
 def _lichnerowicz(theta: InverseDimension, n_pts: int, rho: float,

@@ -65,11 +65,7 @@ class InverseDimension:
     @property
     def inv_n_minus_1(self) -> float:
         """1/(N-1) = theta/(1-theta); equals -1 at theta = -inf (N = 0)."""
-        if math.isinf(self.theta):
-            return -1.0
-        if self.theta == 1.0:
-            raise ValueError("1/(N-1) undefined at N = 1")
-        return self.theta / (1.0 - self.theta)
+        return self.inv_n_minus_k(1)
 
     def inv_n_minus_k(self, k: int) -> float:
         """1/(N-k) = theta/(1-k*theta), used for the dV (x) dV term with k = n."""

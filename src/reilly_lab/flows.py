@@ -31,7 +31,6 @@ from .checks import CheckReport, from_inequality, inequality_tolerance
 from .dimension import InverseDimension
 from .errors import CapOverflow, ConvexityViolation
 from .numerics import periodic_diff1, periodic_diff12, spectral_diff
-from .numerics import periodic_diff2  # noqa: F401  (the 2-D reference kernels)
 from .operators import boundary_geometry, weighted_integral
 from .trig import TrigPolynomial
 

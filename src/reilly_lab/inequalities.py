@@ -151,7 +151,7 @@ def _panel_integral(f, a: float, b: float) -> float:
     return math.inf
 
 
-def sharpness_ratio(params: ModelDensityParams, case: str = "neumann",
+def sharpness_ratio(params: ModelDensityParams,
                     n_pts: int = 4001) -> CheckReport:
     """Sharpness diagnostic for the N/(N-1) constant with f = R'.
 
@@ -174,17 +174,12 @@ def sharpness_ratio(params: ModelDensityParams, case: str = "neumann",
     n_value = params.theta.n_value
     if abs(n_value) <= 1.0:
         raise ValueError("sharpness requires |N| > 1 for convergent integrals")
-    case = case.lower()
-    if case not in ("neumann", "dirichlet"):
-        raise ValueError("case must be 'neumann' or 'dirichlet'")
+    case = params.variant
     if case == "dirichlet" and n_value < 0.0:
         raise ValueError(
             "the extremal function does not vanish at infinity for N < 0; "
             "the dirichlet case is excluded there"
         )
-    if params.variant != case:
-        params = ModelDensityParams(rho=params.rho, theta=params.theta,
-                                    beta_trunc=params.beta_trunc, variant=case)
     model = build_model_density(params, n_pts)
     R, Rp, Rpp = params.profile()
     f = Rp(model.t)
@@ -405,7 +400,7 @@ def check_mean_curvature(body, theta: InverseDimension):
     return [hr1, hr2, link]
 
 
-def check_boundary_gaps(body, rho_ambient: float = 0.0):
+def check_boundary_gaps(body):
     """Spectral-gap lower bounds on the boundary of a convex body.
 
     Computes lambda_1 of the boundary weighted Laplacian and checks the
@@ -431,7 +426,7 @@ def check_boundary_gaps(body, rho_ambient: float = 0.0):
             f"need sigma, xi > 0; got ({sigma:.3e}, {xi:.3e})"
         )
     a = sigma * xi
-    rho = rho_ambient
+    rho = 0.0  # every body lies in flat R^2 or R^3
     tol = inequality_tolerance(scale=max(1.0, lam), h=grid_h)
     out = [
         from_inequality(

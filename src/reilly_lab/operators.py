@@ -56,7 +56,6 @@ class DiscreteOperator:
     weights: np.ndarray
     symmetrizer: np.ndarray
     model_ref: str
-    h: float
     lower: Optional[np.ndarray] = None
     diag: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
@@ -155,7 +154,7 @@ def assemble_laplacian(model, bc: str) -> DiscreteOperator:
         diag[1:-1] = -(b_face[:-1] + b_face[1:]) / h / measures[1:-1]
         return DiscreteOperator(
             kind="tridiagonal", bc=bc, n=n, weights=measures,
-            symmetrizer=np.sqrt(measures), model_ref=model.label, h=h,
+            symmetrizer=np.sqrt(measures), model_ref=model.label,
             lower=lower, diag=diag, upper=upper,
         )
     if isinstance(model, ConvexPlaneBody):
@@ -170,8 +169,7 @@ def assemble_laplacian(model, bc: str) -> DiscreteOperator:
         weights = model.boundary_weight() * model.d_angle
         return DiscreteOperator(
             kind="periodic", bc=PERIODIC, n=m, weights=weights,
-            symmetrizer=np.sqrt(weights), model_ref=model.label,
-            h=model.d_angle, dense=dense,
+            symmetrizer=np.sqrt(weights), model_ref=model.label, dense=dense,
         )
     if isinstance(model, RevolutionBody3D):
         ops = _revolution_mode_operators(model, m_max=0)
@@ -202,7 +200,7 @@ def _revolution_mode_operators(body: RevolutionBody3D, m_max: int):
             kind="tridiagonal", bc=NEUMANN, n=n,
             weights=2.0 * math.pi * w_center,
             symmetrizer=np.sqrt(2.0 * math.pi * w_center),
-            model_ref=f"{body.label}/mode{mode}", h=h,
+            model_ref=f"{body.label}/mode{mode}",
             lower=lower, diag=diag, upper=upper,
         ))
     return ops

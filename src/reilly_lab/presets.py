@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from .bodies import (ConvexPlaneBody, build_plane_body, build_sphere_body,
-                     build_sphere_cap, build_spheroid_body,
+from .bodies import (ConvexPlaneBody, SphereCap, build_plane_body,
                      plane_body_from_samples)
 from .dimension import InverseDimension
 from .errors import ConfigError, ConvexityViolation
@@ -16,7 +15,6 @@ from .models import (ModelDensityParams, build_gaussian_interval,
 from .trig import TrigPolynomial, random_trig_polynomial
 
 DEFAULT_M = 512
-DEFAULT_PROFILE_CELLS = 1024
 
 
 def model_density_params(rho: float, n_value: float, beta_frac: float = 0.999,
@@ -104,15 +102,6 @@ def random_test_polynomials(count: int, seed: int, degree: int = 8):
     return [random_trig_polynomial(rng, degree=degree) for _ in range(count)]
 
 
-def sphere_body(radius: float = 1.0, n_cells: int = DEFAULT_PROFILE_CELLS):
-    return build_sphere_body(radius, n_cells)
-
-
-def spheroid_body(a: float = 1.0, c: float = 1.2,
-                  n_cells: int = DEFAULT_PROFILE_CELLS):
-    return build_spheroid_body(a, c, n_cells)
-
-
 def gaussian_ball(n_ambient: int = 2, r_outer: float = 0.8,
                   n_pts: int = 1001):
     """Ball under the unit-variance Gaussian potential V = r^2/2."""
@@ -147,6 +136,6 @@ def body_from_spec(spec: str, m: int = DEFAULT_M):
             return ellipse_body(*args, m=m)
         if name == "wavy":
             return wavy_body(m=m)
-        return build_sphere_cap(*(args or [math.pi / 3]))
+        return SphereCap(*(args or [math.pi / 3]))
     except (ValueError, ConvexityViolation) as exc:
         raise ConfigError(f"bad body spec {spec!r}: {exc}") from exc

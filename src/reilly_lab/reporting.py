@@ -94,10 +94,6 @@ def emit_report(reports: Iterable[CheckReport], config_echo: dict) -> str:
             f"{_json_string('checks')}:[{checks}]" + "}\n")
 
 
-def overall_pass(reports: Iterable[CheckReport]) -> bool:
-    return all(r.gate() for r in reports)
-
-
 def sweep_csv(param: str, values: List[str],
               reports: List[CheckReport]) -> str:
     """One row per swept value and its report; every report of a sweep is

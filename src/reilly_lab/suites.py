@@ -30,7 +30,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .bodies import build_plane_body, build_sphere_cap
+from .bodies import (SphereCap, build_plane_body, build_sphere_body,
+                     build_spheroid_body)
 from .checks import CheckReport, from_identity, from_inequality
 from .dimension import InverseDimension
 from .errors import ConfigError, ReillyLabError
@@ -51,7 +52,7 @@ from .presets import (disk_body, ellipse_body, flat_ball, gaussian_ball,
                       gaussian_half_model, gaussian_model,
                       model_density_params,
                       random_convex_bodies, random_test_polynomials,
-                      sphere_body, spheroid_body, veysseire_quartic_model)
+                      veysseire_quartic_model)
 from .reilly import cd_margin, gamma2_field, reilly_convergence
 from .trig import TrigPolynomial
 
@@ -106,7 +107,7 @@ def _bln_extremal(variant: str) -> CheckReport:
 
 def _sharp(n_value: float, beta_trunc=None) -> CheckReport:
     params = model_density_params(1.0, n_value, beta_trunc=beta_trunc)
-    return sharpness_ratio(params, case="neumann", n_pts=8001)
+    return sharpness_ratio(params, n_pts=8001)
 
 
 def _gaussian_constant_rho():
@@ -311,20 +312,22 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
             ellipse_body(), TrigPolynomial((0.0, 0.0, 1.0)), rho=0.0)),
         ("colesanti/hr-disk", lambda: check_mean_curvature(disk_body(), TH2)),
         ("colesanti/hr-ball",
-         lambda: check_mean_curvature(sphere_body(1.0), TH3)),
+         lambda: check_mean_curvature(build_sphere_body(1.0), TH3)),
         ("colesanti/hr-ellipse",
          lambda: check_mean_curvature(ellipse_body(), TH2)),
         ("colesanti/hr-spheroid",
-         lambda: check_mean_curvature(spheroid_body(), TH3)),
+         lambda: check_mean_curvature(build_spheroid_body(), TH3)),
 
         ("boundary/gaps-circle", lambda: check_boundary_gaps(disk_body())),
         ("boundary/gaps-sphere",
-         lambda: check_boundary_gaps(sphere_body(1.0))),
+         lambda: check_boundary_gaps(build_sphere_body(1.0))),
         ("boundary/gaps-spheroid",
-         lambda: check_boundary_gaps(spheroid_body())),
+         lambda: check_boundary_gaps(build_spheroid_body())),
         ("boundary/gaps-corpus", lambda: _gaps_corpus(seed + 3)),
-        ("boundary/cd-sphere", lambda: boundary_cd_report(sphere_body(1.0))),
-        ("boundary/cd-spheroid", lambda: boundary_cd_report(spheroid_body())),
+        ("boundary/cd-sphere",
+         lambda: boundary_cd_report(build_sphere_body(1.0))),
+        ("boundary/cd-spheroid",
+         lambda: boundary_cd_report(build_spheroid_body())),
 
         ("flows/wave-const", _reads(waves, 0, _wave_linear)),
         ("flows/wave-perturbed", _reads(waves, 1, _wave_alive,
@@ -340,7 +343,7 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
             128, "area")),
         ("flows/measure-monotone", _reads(pnfs, 2, _measure_monotone)),
         ("flows/cap-analytic-concavity", lambda: concavity_check(
-            cap_extension_series(build_sphere_cap(math.pi / 3), 1.0, 1e-2))),
+            cap_extension_series(SphereCap(math.pi / 3), 1.0, 1e-2))),
 
         ("isoperimetric/alexandrov-disk",
          lambda: quermassintegrals(disk_body(), TH2)[1]),
@@ -356,7 +359,7 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
         ("isoperimetric/extension-disk",
          lambda: _extension(disk_body(), 1.0, 4 * math.pi)),
         ("isoperimetric/extension-cap", lambda: _extension(
-            build_sphere_cap(math.pi / 3), math.pi / 6, 2 * math.pi)),
+            SphereCap(math.pi / 3), math.pi / 6, 2 * math.pi)),
         ("isoperimetric/profile-disk-disk",
          lambda: isoperimetric_checks(disk_body(), disk_body(), TH2)),
         ("isoperimetric/profile-ellipse-disk",

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reilly_lab.bodies import build_plane_body, build_sphere_cap
+from reilly_lab.bodies import (SphereCap, build_plane_body, build_sphere_body,
+                               build_spheroid_body)
 from reilly_lab.cli import main as cli_main
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.flows import (ConcavitySeries, cap_extension_series,
@@ -26,8 +27,7 @@ from reilly_lab.inequalities import (boundary_cd_report, check_boundary_gaps,
 from reilly_lab.models import build_gaussian_interval, build_model_density
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
                                 model_density_params, random_convex_bodies,
-                                random_test_polynomials, sphere_body,
-                                spheroid_body)
+                                random_test_polynomials)
 from reilly_lab.reilly import reilly_convergence
 from reilly_lab.trig import TrigPolynomial
 
@@ -150,13 +150,14 @@ def test_criterion_4_colesanti_equalities_and_corpus():
 
 def test_criterion_5_mean_curvature_inequalities():
     hr1_d, hr2_d, _ = check_mean_curvature(disk_body(m=512), TH2)
-    hr1_b, hr2_b, _ = check_mean_curvature(sphere_body(1.0, 1024), TH3)
+    hr1_b, hr2_b, _ = check_mean_curvature(build_sphere_body(1.0, 1024), TH3)
     eq_ok = (abs(hr1_d.slack) / hr1_d.lhs <= 1e-6
              and abs(hr2_d.slack) / hr2_d.lhs <= 1e-6
              and abs(hr1_b.slack) / hr1_b.lhs <= 1e-6
              and abs(hr2_b.slack) / hr2_b.lhs <= 1e-6)
     hr1_e, hr2_e, _ = check_mean_curvature(ellipse_body(1.2, 1.0, m=512), TH2)
-    hr1_s, hr2_s, _ = check_mean_curvature(spheroid_body(1.0, 1.2, 1024), TH3)
+    hr1_s, hr2_s, _ = check_mean_curvature(
+        build_spheroid_body(1.0, 1.2, 1024), TH3)
     strict_ok = (hr1_e.slack > 1e-4 and hr2_e.slack > 1e-4
                  and hr1_s.slack > 1e-4 and hr2_s.slack > 1e-4)
     ok = eq_ok and strict_ok
@@ -169,13 +170,13 @@ def test_criterion_6_boundary_spectral_bounds():
     circle = {r.name: r for r in check_boundary_gaps(disk_body(m=512))}
     sig = circle["boundary-gap-sigma-xi"]
     circle_ok = abs(sig.rhs - sig.lhs) <= 1e-8
-    sphere = {r.name: r for r in check_boundary_gaps(sphere_body(1.0, 1024))}
+    sphere = {r.name: r for r in
+              check_boundary_gaps(build_sphere_body(1.0, 1024))}
     split = sphere["boundary-gap-curvature-split"]
     sphere_ok = abs(split.rhs - 2.0) <= 1e-4 and abs(split.lhs - 2.0) <= 1e-6
     corpus_ok = True
     for body in random_convex_bodies(10, seed=4321, m=256):
-        reports = {r.name: r for r in check_boundary_gaps(body,
-                                                          rho_ambient=0.0)}
+        reports = {r.name: r for r in check_boundary_gaps(body)}
         corpus_ok = corpus_ok and reports["boundary-gap-cd-refined"].passed
     ok = circle_ok and sphere_ok and corpus_ok
     assert record(6, ok, f"circle |gap-1|={abs(sig.rhs - 1):.2e}, sphere "
@@ -183,9 +184,11 @@ def test_criterion_6_boundary_spectral_bounds():
 
 
 def test_criterion_7_gauss_equation_transfer():
-    sph = {r.name: r for r in boundary_cd_report(sphere_body(1.0, 1024))}
+    sph = {r.name: r for r in
+           boundary_cd_report(build_sphere_body(1.0, 1024))}
     sph_disc = sph["boundary-ricci-transfer"].residual
-    spd = {r.name: r for r in boundary_cd_report(spheroid_body(1.0, 1.2, 1024))}
+    spd = {r.name: r for r in
+           boundary_cd_report(build_spheroid_body(1.0, 1.2, 1024))}
     spd_disc = spd["boundary-ricci-transfer"].residual
     ok = sph_disc <= 1e-6 and spd_disc <= 1e-5
     assert record(7, ok, f"sphere discrepancy={sph_disc:.2e} (<=1e-6), "
@@ -232,7 +235,7 @@ def test_criterion_9_brunn_minkowski_concavity():
     res = parallel_normal_flow(disk, phi, 0.5, 2e-3, snapshot_every=10**9)
     b_ok = concavity_check(res.series).passed
     # (c) analytic cap extension
-    series = cap_extension_series(build_sphere_cap(math.pi / 3), 1.0, 1e-2)
+    series = cap_extension_series(SphereCap(math.pi / 3), 1.0, 1e-2)
     c_ok = concavity_check(series).passed
     # (d) Weingarten wave
     wave = weingarten_wave(disk_body(m=128), TrigPolynomial((1.0, 0.0, 0.2)),

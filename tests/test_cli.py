@@ -321,7 +321,7 @@ def test_checkreport_pass_rule_matches_slack():
 
 
 @pytest.mark.parametrize("body", ["ellipse:-1,1", "disk:nan", "disk:inf",
-                                  "ellipse:inf,1"])
+                                  "ellipse:inf,1", "ellipse:1e200,1"])
 def test_flow_rejects_nonpositive_or_nonfinite_body_size(body, capsys):
     assert run_cli(["flow", "--body", body, "--m", "64"]) == 2
     err = capsys.readouterr().err

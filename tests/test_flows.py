@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reilly_lab import flows, numerics
-from reilly_lab.bodies import build_plane_body, build_sphere_cap
+from reilly_lab.bodies import (SphereCap, build_plane_body, build_sphere_body,
+                               build_spheroid_body)
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import CapOverflow
 from reilly_lab.flows import (ConcavitySeries, _crossing_sweep,
@@ -18,7 +19,7 @@ from reilly_lab.flows import (ConcavitySeries, _crossing_sweep,
                               steiner_fit_residual, weingarten_wave)
 from reilly_lab.numerics import spectral_diff
 from reilly_lab.presets import (disk_body, ellipse_body, random_convex_bodies,
-                                sphere_body, spheroid_body, wavy_body)
+                                wavy_body)
 from reilly_lab.reporting import flow_csv
 from reilly_lab.trig import TrigPolynomial
 
@@ -55,7 +56,7 @@ def test_mixed_area_symmetry_and_disk_value():
 def test_geodesic_extension_measures():
     assert geodesic_extension_measure(disk_body(), 1.0) == pytest.approx(
         4 * math.pi, rel=1e-12)
-    cap = build_sphere_cap(math.pi / 3)
+    cap = SphereCap(math.pi / 3)
     assert geodesic_extension_measure(cap, math.pi / 6) == pytest.approx(
         2 * math.pi, rel=1e-12)
     with pytest.raises(CapOverflow):
@@ -84,7 +85,7 @@ def test_quermass_triple_disk():
 
 
 @pytest.mark.parametrize("body, equality", [
-    (sphere_body(1.0), True), (spheroid_body(), False)],
+    (build_sphere_body(1.0), True), (build_spheroid_body(), False)],
     ids=["sphere", "spheroid"])
 def test_alexandrov_revolution_bodies(body, equality):
     # N = n = 3: delta1^2 >= (3/2) delta0 delta2, with equality on the
@@ -346,7 +347,8 @@ def test_flow_stencil_calls_per_step_within_budget(monkeypatch, run, budget):
         return wrapper
 
     monkeypatch.setattr(flows, "periodic_diff1", counted(flows.periodic_diff1))
-    monkeypatch.setattr(flows, "periodic_diff2", counted(flows.periodic_diff2))
+    monkeypatch.setattr(flows, "periodic_diff12",
+                        counted(flows.periodic_diff12))
     per_run = []
     for t_end in (0.1, 0.2):
         calls[0] = 0
@@ -379,7 +381,7 @@ def test_concavity_log_transform_at_theta_zero():
 
 
 def test_concavity_cap_series_strictly_negative():
-    series = cap_extension_series(build_sphere_cap(math.pi / 3), 1.0, 1e-2)
+    series = cap_extension_series(SphereCap(math.pi / 3), 1.0, 1e-2)
     rep = concavity_check(series)
     assert rep.passed
     g = series.transformed()
@@ -466,7 +468,7 @@ def _ref_wrap_pad(y):
 
 def _ref_plane_geometry(points, hy):
     py = flows.periodic_diff1(points, hy)
-    pyy = flows.periodic_diff2(points, hy)
+    pyy = numerics.periodic_diff2(points, hy)
     speed = np.hypot(py[:, 0], py[:, 1])
     tau = py / speed[:, None]
     nu = np.stack([tau[:, 1], -tau[:, 0]], axis=1)
@@ -476,7 +478,7 @@ def _ref_plane_geometry(points, hy):
 
 def _ref_sphere_geometry(x, hy):
     xy = flows.periodic_diff1(x, hy)
-    xyy = flows.periodic_diff2(x, hy)
+    xyy = numerics.periodic_diff2(x, hy)
     speed = np.linalg.norm(xy, axis=1)
     tau = xy / speed[:, None]
     nu = np.cross(tau, x)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from reilly_lab.bodies import build_sphere_body, build_spheroid_body
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import (CurvatureNotPositive, MeanConvexityViolation,
                                StrengthenedDegenerate)
@@ -22,8 +23,8 @@ from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
                                 gaussian_ball,
                                 gaussian_half_model, model_density_params,
                                 random_convex_bodies,
-                                random_test_polynomials, sphere_body,
-                                spheroid_body, veysseire_quartic_model)
+                                random_test_polynomials,
+                                veysseire_quartic_model)
 from reilly_lab.trig import TrigPolynomial
 
 TH_INF = InverseDimension(0.0, 1)
@@ -190,8 +191,8 @@ def test_sharpness_small_n_branch():
 
 def test_sharpness_rejects_unit_n_and_negative_dirichlet():
     with pytest.raises(ValueError):
-        sharpness_ratio(model_density_params(1.0, -2.0, beta_trunc=5.0),
-                        case="dirichlet")
+        sharpness_ratio(model_density_params(1.0, -2.0, beta_trunc=5.0,
+                                             variant="dirichlet"))
     with pytest.raises(ValueError):
         model_density_params(1.0, -1.0, beta_trunc=5.0)
         sharpness_ratio(model_density_params(1.0, -1.0, beta_trunc=5.0))
@@ -451,14 +452,14 @@ def test_mean_curvature_disk_equalities():
 
 
 def test_mean_curvature_ball_equalities():
-    hr1, hr2, _ = check_mean_curvature(sphere_body(1.0), TH3)
+    hr1, hr2, _ = check_mean_curvature(build_sphere_body(1.0), TH3)
     assert hr1.lhs == pytest.approx(8 * math.pi, rel=1e-6)
     assert abs(hr1.slack) / hr1.lhs <= 1e-6
     assert abs(hr2.slack) / hr2.lhs <= 1e-6
 
 
 def test_mean_curvature_strict_cases():
-    for body, theta in ((ellipse_body(), TH2), (spheroid_body(), TH3)):
+    for body, theta in ((ellipse_body(), TH2), (build_spheroid_body(), TH3)):
         hr1, hr2, link = check_mean_curvature(body, theta)
         assert hr1.slack > 1e-3 and hr2.slack > 1e-3 and link.slack > 1e-3
 
@@ -502,7 +503,8 @@ def test_boundary_gaps_circle_equality():
 
 
 def test_boundary_gaps_sphere_equality():
-    reports = {r.name: r for r in check_boundary_gaps(sphere_body(1.0, 1024))}
+    reports = {r.name: r for r in
+               check_boundary_gaps(build_sphere_body(1.0, 1024))}
     split = reports["boundary-gap-curvature-split"]
     assert split.lhs == pytest.approx(2.0, abs=1e-6)
     assert abs(split.rhs - 2.0) <= 1e-4
@@ -512,7 +514,7 @@ def test_boundary_gaps_sphere_equality():
 
 def test_boundary_gaps_spheroid():
     reports = {r.name: r for r in
-               check_boundary_gaps(spheroid_body(1.0, 1.2, 1024))}
+               check_boundary_gaps(build_spheroid_body(1.0, 1.2, 1024))}
     split = reports["boundary-gap-curvature-split"]
     assert split.lhs == pytest.approx(2.0 * (1.694444 - 0.694444) * 0.694444,
                                       abs=1e-4)
@@ -528,7 +530,8 @@ def test_boundary_gaps_seeded_curves():
 
 
 def test_boundary_cd_transfer_sphere():
-    reports = {r.name: r for r in boundary_cd_report(sphere_body(1.0, 1024))}
+    reports = {r.name: r for r in
+               boundary_cd_report(build_sphere_body(1.0, 1024))}
     assert reports["boundary-ricci-transfer"].residual <= 1e-8
     ls = reports["boundary-log-sobolev-gap"]
     assert ls.lhs == pytest.approx(2.0, abs=1e-6)
@@ -538,7 +541,7 @@ def test_boundary_cd_transfer_sphere():
 
 def test_boundary_cd_transfer_spheroid():
     reports = {r.name: r for r in
-               boundary_cd_report(spheroid_body(1.0, 1.2, 1024))}
+               boundary_cd_report(build_spheroid_body(1.0, 1.2, 1024))}
     assert reports["boundary-ricci-transfer"].residual <= 1e-6
     ls = reports["boundary-log-sobolev-gap"]
     assert ls.passed and ls.slack > 0.1

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from reilly_lab.bodies import (build_plane_body, build_sphere_body,
-                               build_sphere_cap, build_spheroid_body)
+from reilly_lab.bodies import (ConvexPlaneBody, SphereCap, build_plane_body,
+                               build_sphere_body, build_spheroid_body,
+                               plane_body_from_samples)
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import ConvexityViolation
 from reilly_lab.models import (ModelDensityParams, build_gaussian_interval,
@@ -103,6 +105,21 @@ def test_plane_body_convexity_boundary_case():
     assert err.value.value == pytest.approx(-0.8, abs=1e-12)
 
 
+def test_plane_body_refuses_nonfinite_support_samples():
+    # a NaN curvature radius passes the h + h'' > 0 test, so each of h, h'
+    # and h'' is checked; samples are refused before they are differentiated
+    angles = np.arange(16) * (2 * math.pi / 16)
+    for bad in ("h", "hp", "hpp"):
+        fields = {"h": np.ones(16), "hp": np.zeros(16), "hpp": np.zeros(16)}
+        fields[bad][3] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            ConvexPlaneBody(m=16, angles=angles, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            plane_body_from_samples(np.full(16, math.inf))
+
+
 def test_plane_body_support_round_trip():
     # boundary points reconstructed from (h, h') reproduce the support
     for body in random_convex_bodies(3, seed=42, m=512):
@@ -137,13 +154,13 @@ def test_spheroid_closed_form_curvature_extremes():
 
 
 def test_sphere_cap_invariants():
-    cap = build_sphere_cap(math.pi / 3)
+    cap = SphereCap(math.pi / 3)
     assert cap.area() == pytest.approx(math.pi)          # 2 pi (1 - cos pi/3)
     assert cap.boundary_length() == pytest.approx(2 * math.pi * math.sin(math.pi / 3))
     assert cap.geodesic_curvature() == pytest.approx(1.0 / math.tan(math.pi / 3))
     assert abs(cap.area_by_quadrature() - cap.area()) <= 1e-10
     with pytest.raises(ValueError):
-        build_sphere_cap(3.5)
+        SphereCap(3.5)
 
 
 def test_radial_ball_boundary_data():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reilly_lab.bodies import build_plane_body
+from reilly_lab.bodies import (build_plane_body, build_sphere_body,
+                               build_spheroid_body)
 from reilly_lab.errors import SingularSystem
 from reilly_lab.models import (build_gaussian_interval, build_interval_model,
                                build_model_density)
@@ -14,8 +15,7 @@ from reilly_lab.operators import (DIRICHLET, NEUMANN, PERIODIC,
                                   solve_poisson, spectral_gap,
                                   weighted_integral)
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
-                                model_density_params, random_convex_bodies,
-                                sphere_body, spheroid_body)
+                                model_density_params, random_convex_bodies)
 from reilly_lab.trig import TrigPolynomial
 
 
@@ -174,7 +174,7 @@ def test_boundary_geometry_disk_and_ellipse():
 
 
 def test_boundary_geometry_sphere_and_ball():
-    geom = boundary_geometry(sphere_body(2.0, 512))
+    geom = boundary_geometry(build_sphere_body(2.0, 512))
     np.testing.assert_allclose(geom.kappa1, 0.5, atol=1e-7)
     np.testing.assert_allclose(geom.H_g, 1.0, atol=1e-7)
     ball = boundary_geometry(flat_ball(2, 1.0, 101))
@@ -185,28 +185,28 @@ def test_boundary_geometry_sphere_and_ball():
 def test_revolution_ii_and_plane_weight_are_bitwise_their_formulas():
     # check_boundary_gaps integrates 1/II for a revolution body's sigma
     # field, and bodies carry no potential in their boundary measure
-    geom = boundary_geometry(spheroid_body(1.0, 1.2, 256))
+    geom = boundary_geometry(build_spheroid_body(1.0, 1.2, 256))
     assert np.array_equal(geom.II, np.minimum(geom.kappa1, geom.kappa2))
     body = ellipse_body(m=64)
     assert np.array_equal(body.boundary_weight(), body.h + body.hpp)
 
 
 def test_revolution_gap_sphere_scaling():
-    lam1, mode1 = boundary_gap_revolution(sphere_body(1.0, 1024))
+    lam1, mode1 = boundary_gap_revolution(build_sphere_body(1.0, 1024))
     assert abs(lam1 - 2.0) <= 1e-4
-    lam2, _ = boundary_gap_revolution(sphere_body(2.0, 1024))
+    lam2, _ = boundary_gap_revolution(build_sphere_body(2.0, 1024))
     assert abs(lam2 - 0.5) <= 1e-4
 
 
 def test_revolution_gap_spheroid_two_resolution_consistency():
-    lam_coarse, _ = boundary_gap_revolution(spheroid_body(1.0, 1.2, 512))
-    lam_fine, _ = boundary_gap_revolution(spheroid_body(1.0, 1.2, 1024))
+    lam_coarse, _ = boundary_gap_revolution(build_spheroid_body(1.0, 1.2, 512))
+    lam_fine, _ = boundary_gap_revolution(build_spheroid_body(1.0, 1.2, 1024))
     assert lam_fine < 2.0
     # O(h^2) scheme: extrapolation shifts the fine value only slightly
     extrap = richardson((lam_coarse, lam_fine), 2.0, 2)
     assert abs(extrap - lam_fine) <= 5e-6
     # curvature-splitting lower bound 2 (xi - sigma) sigma
-    geom = boundary_geometry(spheroid_body(1.0, 1.2, 1024))
+    geom = boundary_geometry(build_spheroid_body(1.0, 1.2, 1024))
     sigma, xi = geom.sigma, float(np.min(geom.H_g))
     assert lam_fine >= 2.0 * (xi - sigma) * sigma
 

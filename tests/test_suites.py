@@ -5,13 +5,15 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from reilly_lab import cli, suites
 from reilly_lab.checks import from_identity
+from reilly_lab.config import load_config, validate_sweep
 from reilly_lab.errors import ConvexityViolation, ReillyLabError
-from reilly_lab.reporting import emit_report
+from reilly_lab.reporting import check_to_json, emit_report
 from reilly_lab.suites import SUITE_NAMES, run_suite_checks, suite_thunks
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -264,3 +266,32 @@ def test_pnf_rows_are_one_item_integrated_once_per_run(monkeypatch, tmp_path):
         assert len(log.read_text().splitlines()) == runs
         assert sum(r.name.startswith(_PNF_ROWS + ("flows/pnf-vs-",))
                    for r in reports) == 7
+
+
+
+# sweep rows at the catalogue's parameters, built by config.validate_sweep
+# through code of its own, and the catalogue rows they reproduce
+_LICH = {"check": "lichnerowicz", "param": "N", "n_pts": "2001", "rho": "1"}
+_SHARP = {"check": "sharpness", "param": "n_pts", "values": "8001",
+          "rho": "1"}
+_SWEEP_TWINS = {
+    "spectral/lichnerowicz-model-n5": {**_LICH, "values": "5"},
+    "spectral/lichnerowicz-model-n20": {**_LICH, "values": "20"},
+    "spectral/lichnerowicz-gauss": {**_LICH, "values": "inf"},
+    "spectral/lichnerowicz-gauss-half-dirichlet": {
+        **_LICH, "values": "inf", "case": "dirichlet"},
+    "bln/sharpness-n5": {**_SHARP, "N": "5"},
+    "bln/sharpness-n1.5": {**_SHARP, "N": "1.5"},
+    "bln/sharpness-n-2": {**_SHARP, "N": "-2", "beta_trunc": "8"},
+}
+
+
+def test_sweep_rows_equal_the_catalogue_rows_they_duplicate():
+    catalogue = dict(suite_thunks("all", 3))
+    for name, sweep in _SWEEP_TWINS.items():
+        cfg = load_config(None, overrides={f"sweep.{key}": value
+                                           for key, value in sweep.items()})
+        [row] = validate_sweep(cfg)["rows"]
+        want = catalogue[name]()
+        assert check_to_json(replace(row(), name=want.name)) == \
+            check_to_json(want), name

@@ -27,9 +27,12 @@ comparison below against that earlier file.
 
 ``--compare A B`` prints, per workload and metric, the medians of A and B,
 B's relative change against A and the bound ``BENCHMARK.json`` fixes for
-the metric; for ``pass_s`` and ``setup_s`` also how many seeds run on both
-sides B wins, and whether the medians differ by more than A's q3 - q1;
-and the ``verify_wall`` medians that both files hold.
+the metric; and for ``pass_s`` and ``setup_s`` also how many seeds run on
+both sides B wins, and whether the medians differ by more than A's q3 - q1.
+It leaves ``verify_wall`` out: two files record it in different sessions,
+five runs each, and the host's speed drifts between sessions by more than
+a change moves it, so the sign of such a comparison says nothing.  Compare
+wall times in alternating runs of both trees within one session.
 """
 
 from __future__ import annotations
@@ -189,13 +192,6 @@ def compare(a: dict, b: dict) -> dict:
                 row["medians_differ_by_more_than_a_iqr"] = (
                     abs(change * old["median"]) > row["a_iqr"])
             rows[f"{name}.{metric}"] = row
-    for key in sorted(set(a.get("verify_wall", {}))
-                      & set(b.get("verify_wall", {}))):
-        for metric in ("wall_s", "peak_rss_mb"):
-            old, new = (x["verify_wall"][key][metric]["median"] for x in (a, b))
-            rows[f"verify.{key}.{metric}"] = {
-                "a_median": old, "b_median": new,
-                "relative_change": (new - old) / old, "bound": None}
     return {"a": {"pr": a["pr"], "commit": a["commit"]},
             "b": {"pr": b["pr"], "commit": b["commit"]},
             "same_verify_checks": (a["verify_all_checks_sha256"]

@@ -50,6 +50,7 @@ import reilly_lab  # noqa: F401  (first: sets the BLAS thread default)
 import numpy as np
 
 from reilly_lab import cli, flows
+from reilly_lab.bodies import build_spheroid_body
 from reilly_lab.checks import CheckReport
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.inequalities import (boundary_cd_report, check_bln,
@@ -59,8 +60,7 @@ from reilly_lab.operators import (assemble_laplacian, boundary_gap_revolution,
                                   boundary_geometry, eigenvalues, spectral_gap)
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
                                 gaussian_ball, gaussian_half_model,
-                                gaussian_model, model_density_params,
-                                spheroid_body)
+                                gaussian_model, model_density_params)
 from reilly_lab.reilly import cd_margin, gamma2_residual, reilly_residual
 from reilly_lab.reporting import check_to_json, flow_csv
 from reilly_lab.trig import TrigPolynomial
@@ -176,7 +176,7 @@ def library_results():
                                                 theta, C="auto")
     yield "cd-margin-ball", cd_margin(ball, 0.5,
                                       InverseDimension.from_n(20.0, 2))
-    spheroid = spheroid_body(1.0, 1.2, 256)
+    spheroid = build_spheroid_body(1.0, 1.2, 256)
     yield "gap-revolution-spheroid", boundary_gap_revolution(spheroid)
     yield "eigenvalues-spheroid", eigenvalues(
         assemble_laplacian(spheroid, "neumann"), 5)
@@ -185,7 +185,7 @@ def library_results():
 def boundary_results():
     """(call, result) of the operators, boundary geometry and boundary
     checks of plane bodies and revolution surfaces, arrays included."""
-    spheroid = spheroid_body(1.0, 1.2, 256)
+    spheroid = build_spheroid_body(1.0, 1.2, 256)
     yield "laplacian-ellipse-m64", assemble_laplacian(
         ellipse_body(m=64), "periodic").dense
     _, vector = spectral_gap(assemble_laplacian(gaussian_half_model(401),
