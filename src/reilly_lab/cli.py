@@ -11,16 +11,12 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .bodies import ConvexPlaneBody, SphereCap
 from .checks import from_inequality
 from .config import SuiteConfig, load_config, validate_flow, validate_sweep
 from .errors import ConfigError, ReillyLabError
-from .flows import (concavity_check, latitude_circle, parallel_normal_flow,
-                    weingarten_wave)
-from .presets import body_from_spec
+from .flows import concavity_check
 from .reporting import emit_report, flow_csv, sweep_csv
 from .suites import run_suite_checks
-from .trig import TrigPolynomial
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -41,13 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a key = value config file")
     common.add_argument("--out", help="output path (JSON for verify, CSV "
                                       "for sweep/flow)")
-    common.add_argument("--tol-scale", type=float, dest="tol_scale",
+    common.add_argument("--tol-scale", dest="tol_scale",
                         help="multiply every tolerance by this factor")
-    common.add_argument("--workers", type=int,
+    common.add_argument("--workers",
                         help="processes that run the checks; reports do "
                              "not depend on it (default 1 or "
                              "REILLY_LAB_WORKERS)")
-    common.add_argument("--seed", type=int, help="corpus seed (default 1234)")
+    common.add_argument("--seed", help="corpus seed (default 1234)")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a named check suite")
@@ -67,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--body", help="disk | ellipse:a,b | wavy | cap:r")
     p_flow.add_argument("--phi-coeffs", dest="phi_coeffs",
                         help="cosine coefficients a0,a1,... of the speed")
-    p_flow.add_argument("--t-end", dest="t_end", type=float)
-    p_flow.add_argument("--dt", type=float)
-    p_flow.add_argument("--m", type=int, help="marker count")
+    p_flow.add_argument("--t-end", dest="t_end")
+    p_flow.add_argument("--dt")
+    p_flow.add_argument("--m", help="marker count")
     return parser
 
 
@@ -120,23 +116,7 @@ def _cmd_flow(args) -> int:
     cfg = _config(args, **{f"flow.{key}": getattr(args, key)
                            for key in ("kind", "body", "phi_coeffs", "t_end",
                                        "dt", "m")})
-    spec = validate_flow(cfg)
-    phi = TrigPolynomial.from_flat(spec["phi_coeffs"])
-    body = body_from_spec(spec["body"], m=spec["m"])
-    if spec["kind"] == "weingarten":
-        if not isinstance(body, ConvexPlaneBody):
-            raise ConfigError("the Weingarten wave runs on plane bodies")
-        speed = float(phi(body.angles).min())
-        if speed <= 0.0:
-            raise ConfigError("phi_coeffs must give a positive initial "
-                              f"speed on the body, got min {speed:.6g}")
-        result = weingarten_wave(body, phi, spec["t_end"], spec["dt"],
-                                 snapshot_every=spec["snapshot_every"])
-    else:
-        if isinstance(body, SphereCap):
-            body = latitude_circle(body.r_cap, m=spec["m"])
-        result = parallel_normal_flow(body, phi, spec["t_end"], spec["dt"],
-                                      snapshot_every=spec["snapshot_every"])
+    result = validate_flow(cfg)()
     reports = []
     if result.series is not None:
         reports.append(concavity_check(result.series, name="flow-concavity"))

@@ -16,9 +16,10 @@ effective value, including defaults, is echoed into report output.
 N values are spelled as plain numbers with `0` meaning theta = -inf and
 `inf` meaning theta = 0.
 
+Command-line flags arrive as text and share their file keys' parsers.
 Validation parses each value once and returns what it parsed:
-`validate_sweep` returns the rows of the sweep, one zero-argument call
-per swept value, and `validate_flow` the typed flow parameters.
+`validate_sweep` the rows of the sweep, one zero-argument call per swept
+value, and `validate_flow` the zero-argument call that runs the flow.
 """
 
 from __future__ import annotations
@@ -29,13 +30,18 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Optional
 
+from .bodies import ConvexPlaneBody, SphereCap
 from .checks import CheckReport, from_identity
 from .dimension import InverseDimension, theta_from_config_n
 from .errors import ConfigError, ConvergenceFailure, CurvatureNotPositive
+from .flows import (FlowResult, latitude_circle, parallel_normal_flow,
+                    weingarten_wave)
 from .inequalities import check_lichnerowicz, sharpness_ratio
 from .models import build_model_density
-from .presets import gaussian_half_model, gaussian_model, model_density_params
+from .presets import (body_from_spec, gaussian_half_model, gaussian_model,
+                      model_density_params)
 from .suites import SUITE_NAMES, _pnf_minkowski_oracle
+from .trig import TrigPolynomial
 
 WORKERS_ENV = "REILLY_LAB_WORKERS"
 
@@ -138,10 +144,10 @@ def _check_whole_steps(t_end: float, dt: float) -> float:
     return dt
 
 
-def _check_n_pts(n_pts: float) -> int:
-    if not (math.isfinite(n_pts) and int(n_pts) >= 16):
+def _check_n_pts(n_pts: int) -> int:
+    if n_pts < 16:
         raise ConfigError(f"n_pts must be at least 16, got {n_pts!r}")
-    return int(n_pts)
+    return n_pts
 
 
 def _check_lichnerowicz_n(value: str) -> InverseDimension:
@@ -203,7 +209,7 @@ def _flow_oracle(dt: float, m: int, t_end: float) -> CheckReport:
     """One flow-oracle row, space-time refinement locked: m ~ 1/dt."""
     m = max(16, int(round(m * (1e-3 / dt))))
     m += m % 2
-    dist, _ = _pnf_minkowski_oracle(m, t_end, dt)
+    dist = _pnf_minkowski_oracle(m, t_end, dt)
     return from_identity("flow-vs-oracle", residual=dist, tolerance=1e-4,
                          lhs=dist, rhs=0.0, params={"dt": dt, "m": m})
 
@@ -287,7 +293,7 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
                   for raw in raw_values]
     n_pts = _to_int(sweep.get("n_pts", "4001"), "n_pts")
     if param == "n_pts":
-        values = [_check_n_pts(_to_float(raw, "n_pts")) for raw in raw_values]
+        values = [_check_n_pts(_to_int(raw, "n_pts")) for raw in raw_values]
     elif check != "flow-oracle":
         _check_n_pts(n_pts)
     if check == "lichnerowicz" and param == "N":
@@ -325,6 +331,9 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
         if hyperbolic and not truncated:
             raise ConfigError("a hyperbolic sharpness sweep "
                               "(rho/(N-1) < 0) needs beta_trunc")
+        if hyperbolic and param == "beta_frac":
+            raise ConfigError("a hyperbolic sharpness density ignores "
+                              "beta_frac; sweep beta_trunc instead")
         if param == "beta_frac":
             values = [_to_float(raw, "beta_frac") for raw in raw_values]
             if not all(0.0 < frac < 1.0 for frac in values):
@@ -347,7 +356,9 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
             "rows": rows}
 
 
-def validate_flow(cfg: SuiteConfig) -> dict:
+def validate_flow(cfg: SuiteConfig) -> Callable[[], FlowResult]:
+    """Parse and validate the [flow] section, each value once, into the
+    zero-argument call that runs the flow."""
     flow = cfg.flow
     kind = flow.get("kind", "parallel-normal")
     if kind not in ("parallel-normal", "weingarten"):
@@ -375,12 +386,18 @@ def validate_flow(cfg: SuiteConfig) -> dict:
     m = _to_int(flow.get("m", "256"), "m")
     if m < 8:
         raise ConfigError(f"m must be >= 8, got {m}")
-    return {
-        "kind": kind,
-        "body": flow.get("body", "disk"),
-        "phi_coeffs": coeffs,
-        "t_end": t_end,
-        "dt": dt,
-        "m": m,
-        "snapshot_every": snapshot_every,
-    }
+    phi = TrigPolynomial.from_flat(coeffs)
+    body = body_from_spec(flow.get("body", "disk"), m=m)
+    integrate = parallel_normal_flow
+    if kind == "weingarten":
+        if not isinstance(body, ConvexPlaneBody):
+            raise ConfigError("the Weingarten wave runs on plane bodies")
+        speed = float(phi(body.angles).min())
+        if speed <= 0.0:
+            raise ConfigError("phi_coeffs must give a positive initial "
+                              f"speed on the body, got min {speed:.6g}")
+        integrate = weingarten_wave
+    elif isinstance(body, SphereCap):
+        body = latitude_circle(body.r_cap, m=m)
+    return partial(integrate, body, phi, t_end, dt,
+                   snapshot_every=snapshot_every)

@@ -160,16 +160,16 @@ _ORACLE_PHI = TrigPolynomial((1.0, 0.0, 0.12, 0.0, 0.02))
 
 
 def _pnf_minkowski_oracle(m: int, t_end: float, dt: float, res=None):
-    """(Hausdorff distance, FlowResult) of the plane parallel normal flow
-    res from the unit disk at speed _ORACLE_PHI (run here if None) against
-    the Minkowski sum disk + t_end * (body with that support function)."""
+    """Hausdorff distance of the plane parallel normal flow res from the
+    unit disk at speed _ORACLE_PHI (run here if None) to the Minkowski sum
+    disk + t_end * (body with that support function)."""
     disk = disk_body(m=m)
     if res is None:
         res = parallel_normal_flow(disk, _ORACLE_PHI, t_end, dt,
                                    snapshot_every=10**9)
     target = minkowski_sum_support(
         disk, build_plane_body(_ORACLE_PHI, m=m, label="speed-body"), t_end)
-    return hausdorff_points(res.states[-1].points, target.points()), res
+    return hausdorff_points(res.states[-1].points, target.points())
 
 
 def _pnf_measure(res, exact: float, tols, m: int, measure: str):
@@ -185,7 +185,7 @@ def _pnf_measure(res, exact: float, tols, m: int, measure: str):
 
 
 def _pnf_oracle(res):
-    dist, _ = _pnf_minkowski_oracle(256, 0.5, 2e-3, res)
+    dist = _pnf_minkowski_oracle(256, 0.5, 2e-3, res)
     return [
         from_identity("flows/pnf-vs-minkowski", residual=dist, tolerance=1e-4,
                       params={"m": 256, "dt": 2e-3}),

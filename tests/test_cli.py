@@ -245,7 +245,10 @@ def test_flow_rejects_nonconvex_body(capsys):
 
 @pytest.mark.parametrize("param,values,key", [("N", "1", "N"),
                                               ("N", "5,1", "N"),
-                                              ("n_pts", "5", "n_pts")])
+                                              ("n_pts", "5", "n_pts"),
+                                              # once ran 2001 and 1000 points
+                                              ("n_pts", "2001.5", "n_pts"),
+                                              ("n_pts", "1e3", "n_pts")])
 def test_sweep_lichnerowicz_rejects_bad_values(param, values, key, capsys):
     code = run_cli(["sweep", "--check", "lichnerowicz", "--param", param,
                     "--values", values])
@@ -359,8 +362,7 @@ _HYPERBOLIC_SHARPNESS = ("[sweep]\ncheck = sharpness\nparam = {param}\n"
                          "values = {values}\nN = -2\n")
 
 
-@pytest.mark.parametrize("param,values", [("beta_frac", "0.5"),
-                                          ("n_pts", "2001,4001")])
+@pytest.mark.parametrize("param,values", [("n_pts", "2001,4001")])
 def test_sweep_sharpness_honours_beta_trunc(param, values, tmp_path, capsys):
     cfg = tmp_path / "bt.cfg"
     cfg.write_text(_HYPERBOLIC_SHARPNESS.format(param=param, values=values)
@@ -372,6 +374,21 @@ def test_sweep_sharpness_honours_beta_trunc(param, values, tmp_path, capsys):
         ratio = float(row.split(",")[1])
         # b = 12 truncation defect at N = -2 (see the README)
         assert abs(ratio - 1.0) <= 2e-3
+
+
+@pytest.mark.parametrize("values", ["0.5", "0.5,0.9"])
+def test_sweep_sharpness_refuses_beta_frac_on_hyperbolic_density(
+        values, tmp_path, capsys):
+    # the density truncates at beta_trunc whatever beta_frac is: such a
+    # sweep once printed one identical row per value
+    cfg = tmp_path / "bt.cfg"
+    cfg.write_text(_HYPERBOLIC_SHARPNESS.format(param="beta_frac",
+                                                values=values)
+                   + "beta_trunc = 12\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "beta_frac" in err, err
+    assert "sweep beta_trunc" in err, err
 
 
 @pytest.mark.parametrize("extra", ["", "beta_trunc = nan\n",
@@ -536,8 +553,9 @@ def test_flow_rejects_t_end_off_the_step_grid(capsys):
 def test_flow_accepts_whole_steps_despite_rounding(t_end, dt):
     from reilly_lab.config import validate_flow
     cfg = load_config(None, overrides={"flow.t_end": t_end, "flow.dt": dt})
-    spec = validate_flow(cfg)
-    assert spec["t_end"] == float(t_end) and spec["dt"] == float(dt)
+    run = validate_flow(cfg)
+    # the flow integrators take (body, phi, t_end, dt)
+    assert run.args[2] == float(t_end) and run.args[3] == float(dt)
 
 
 def test_verify_failure_lines_show_slack_and_tolerance(tmp_path, capsys):
@@ -673,3 +691,35 @@ def test_flow_refuses_a_tiny_m_and_a_speed_that_is_not_positive(
 def test_flow_runs_odd_m_on_a_cap(capsys):
     assert run_cli(["flow", "--body", "cap:0.5", "--m", "9", "--t-end",
                     "0.01", "--dt", "1e-3"]) == 0
+
+
+@pytest.mark.parametrize("flag,section,value", [
+    ("--m", "flow", "2.5"), ("--dt", "flow", "x"), ("--t-end", "flow", "x"),
+    ("--workers", "suite", "x"), ("--seed", "suite", "1.5"),
+    ("--tol-scale", "suite", "x"),
+])
+def test_bad_flag_value_is_the_config_error_of_its_file_key(
+        flag, section, value, tmp_path, capsys):
+    # argparse once typed these flags and exited with its usage text
+    key = flag[2:].replace("-", "_")
+    flags = {"--t-end": "0.01", "--dt": "1e-3", "--m": "32", flag: value}
+    assert run_cli(["flow", *sum(flags.items(), ())]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_flag.startswith(f"config error: {key} must be "), from_flag
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    del flags[flag]
+    assert run_cli(["flow", *sum(flags.items(), ()),
+                    "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == from_flag
+
+
+def test_flag_and_file_key_echo_the_same_text(tmp_path, capsys):
+    base = ["flow", "--t-end", "0.01", "--m", "32"]
+    assert run_cli([*base, "--dt", "2e-3"]) == 0
+    from_flag = json.loads(capsys.readouterr().out)["config_echo"]
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text("[flow]\ndt = 2e-3\n")
+    assert run_cli([*base, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config_echo"] == from_flag
+    assert from_flag["flow"]["dt"] == "2e-3"

@@ -23,7 +23,8 @@ The lines are:
   ``reilly-lab sweep`` runs (every check and swept parameter, both cases,
   N = inf, and two configuration errors), and ``cli-flow <run>
   exit=<code> <sha>`` plus ``cli-flow <run> csv <sha>`` for the report
-  and trajectory CSV of one ``reilly-lab flow`` run of each kind; then
+  and trajectory CSV of one ``reilly-lab flow`` run of each kind (a run
+  with a bad flag writes no trajectory and has no ``csv`` line); then
   ``verify all seed=<n> workers=2 checks <sha>`` per seed, the same
   digest as the ``verify`` line above it with two worker processes;
   last, more ``lib`` lines for the boundary layer: a periodic operator
@@ -120,6 +121,7 @@ CLI_FLOW_RUNS = (
     ("wave-disk", ["--kind", "weingarten", "--body", "disk",
                    "--phi-coeffs", "1,0,0.2", "--t-end", "0.02",
                    "--dt", "2e-4", "--m", "64"]),
+    ("error-m-flag", ["--m", "2.5"]),
 )
 
 
@@ -223,13 +225,17 @@ def library_digests(results):
 
 
 def _run_cli(argv):
-    """(exit code, SHA-256 of stdout and stderr) of one in-process run."""
+    """(exit code, SHA-256 of stdout and stderr) of one in-process run.
+    A parser that exits instead of returning is recorded by its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         # a warning's text carries the source path of the tree under test
         warnings.simplefilter("ignore")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, _sha(f"{out.getvalue()}\0{err.getvalue()}".encode())
 
 
@@ -248,8 +254,10 @@ def cli_digests():
         for name, argv in CLI_FLOW_RUNS:
             code, digest = _run_cli(["flow", *argv, "--out", "trajectory.csv"])
             yield f"cli-flow {name} exit={code} {digest}"
-            with open("trajectory.csv", "rb") as handle:
-                yield f"cli-flow {name} csv {_sha(handle.read())}"
+            if os.path.exists("trajectory.csv"):
+                with open("trajectory.csv", "rb") as handle:
+                    yield f"cli-flow {name} csv {_sha(handle.read())}"
+                os.remove("trajectory.csv")
 
 
 def main(argv=None) -> int:
