@@ -7,6 +7,7 @@ Exit codes: 0 all pass-required checks passed, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
@@ -67,6 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--dt")
     p_flow.add_argument("--m", help="marker count")
     return parser
+
+
+def _glue_negative_values(argv: List[str]) -> List[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``: argparse reads only ``-5`` and
+    ``-.5`` shapes as negative numbers, and any other token that starts
+    with ``-`` as a flag, so a value such as ``-1e-3`` would never reach
+    the config parser.  Every ``--`` flag but --help and --version takes
+    one value."""
+    out: List[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] not in ("--help", "--version")
+                and re.match(r"-[\d.]", token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -135,7 +153,8 @@ def _cmd_flow(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _glue_negative_values(sys.argv[1:] if argv is None else list(argv)))
     commands = {"verify": _cmd_verify, "sweep": _cmd_sweep, "flow": _cmd_flow}
     try:
         return commands[args.command](args)

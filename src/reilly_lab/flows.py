@@ -12,6 +12,18 @@ from the polyline with 4th-order periodic differences and is evaluated
 once per state, so an accepted step's geometry is the next step's first
 stage.
 
+The plane kernels read and write one coordinate at a time.  On the
+(m, B, 2) and (m, B, 3) batches, a numpy op over a 2- or 3-long trailing
+axis, or one that broadcasts across it, costs several times a contiguous
+op: at m = 128 and B = 3, on a 2-core x86 box, 4.7 us for one op on the
+wave's z[..., :2] view against 1.0 us on a contiguous array.  So nu is
+divided out of the tangent straight into its columns, the unit tangent
+tau = (-nu_y, nu_x) is never formed, and each right-hand side writes its
+velocity columns one by one.  The integrator clears a candidate with two
+whole-batch reductions, isfinite (2.4 us) and the minimum curvature
+(1.3 us), against 13 and 6.4 us for the per-member ones, and judges
+members one by one only when either fails.
+
 Flow breakdown (non-finite state, curvature floor, self-intersection,
 loss of positive measure) is a reported outcome: the run returns its
 partial history with alive = False and never raises for it.
@@ -199,14 +211,19 @@ def quermassintegrals(body, theta: InverseDimension):
 
 
 def _plane_geometry(points: np.ndarray, hy: float):
-    """(speed, tau, nu, kappa) of (m, 2) markers or an (m, B, 2) batch."""
+    """(speed, py, nu, kappa) of (m, 2) markers or an (m, B, 2) batch.
+
+    py is the tangent dF/dy = speed tau.  The unit tangent is not formed:
+    tau = (-nu_y, nu_x), exactly, since negation is exact.
+    """
     py, pyy = periodic_diff12(points, hy)
     speed = np.hypot(py[..., 0], py[..., 1])
-    tau = py / speed[..., None]
-    nu = np.empty_like(tau)                          # outward for CCW curves
-    nu[..., 0], nu[..., 1] = tau[..., 1], -tau[..., 0]
+    nu = np.empty_like(py)                           # outward for CCW curves
+    np.divide(py[..., 1], speed, out=nu[..., 0])
+    np.divide(py[..., 0], speed, out=nu[..., 1])
+    np.negative(nu[..., 1], out=nu[..., 1])
     kappa = (py[..., 0] * pyy[..., 1] - py[..., 1] * pyy[..., 0]) / speed**3
-    return speed, tau, nu, kappa
+    return speed, py, nu, kappa
 
 
 def polyline_area(points: np.ndarray, hy: float):
@@ -361,7 +378,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     y is one member's state with markers on axis 0, (m, k), or a batch
     (m, B, k) of members that share m, dt and the step count; aux holds
     per-member constants, members on axis 1 in a batch.
-    g = geometry(y) starts with (speed, tau, nu, kappa) and is evaluated
+    g = geometry(y) starts with (speed, tangent, nu, kappa) and is evaluated
     once per state: a candidate's geometry decides its acceptance, then
     serves as the next step's first stage.  view(y, *aux) gives a
     snapshot's (points, phi), phi0 the initial speed, mass(y, g) the
@@ -414,10 +431,15 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
         k4 = rhs(stage, geometry(stage), *aux)
         candidate = project(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         g_next = geometry(candidate)
-        finite = each(np.isfinite(candidate).all(axis=marker_axes))
-        floor = each(np.min(g_next[3], axis=0) <= KAPPA_FLOOR)
-        why = ["nonfinite" if not ok else "curvature-floor" if low else None
-               for ok, low in zip(finite, floor)]
+        # two whole-batch reductions clear every member at once; a batch
+        # that fails either is judged member by member
+        if np.isfinite(candidate).all() and g_next[3].min() > KAPPA_FLOOR:
+            why = [None] * len(ids)
+        else:
+            finite = each(np.isfinite(candidate).all(axis=marker_axes))
+            floor = each(np.min(g_next[3], axis=0) <= KAPPA_FLOOR)
+            why = ["nonfinite" if not ok else "curvature-floor" if low
+                   else None for ok, low in zip(finite, floor)]
         if reject is not None:
             why = [w or ("self-intersection" if reject(k, col(candidate, c))
                          else None) for c, w in enumerate(why)]
@@ -523,10 +545,14 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
 
     def rhs(x, g, phi_vals, phi_y):
         speed, tau, nu, kappa = g[:4]
-        vel = (phi_vals[..., None] * nu
-               + (phi_y / speed / kappa)[..., None] * tau)
-        if on_sphere:        # tangent projection
+        along = phi_y / speed / kappa
+        if on_sphere:        # with the tangent projection
+            vel = phi_vals[:, None] * nu + along[:, None] * tau
             vel -= np.einsum("ij,ij->i", vel, x)[:, None] * x
+            return vel
+        vel = np.empty_like(nu)      # one column at a time, tau = (-nu_y, nu_x)
+        vel[..., 0] = phi_vals * nu[..., 0] - along * nu[..., 1]
+        vel[..., 1] = phi_vals * nu[..., 1] + along * nu[..., 0]
         return vel
 
     def mass(x, g):
@@ -572,7 +598,8 @@ def _wave_rhs(z: np.ndarray, g, hy: float) -> np.ndarray:
     phi = np.exp(z[..., 2])
     flux = periodic_diff1(phi, hy) / speed / kappa
     dz = np.empty_like(z)
-    np.multiply(phi[..., None], nu, out=dz[..., :2])
+    np.multiply(phi, nu[..., 0], out=dz[..., 0])
+    np.multiply(phi, nu[..., 1], out=dz[..., 1])
     dz[..., 2] = periodic_diff1(flux, hy) / speed
     return dz
 

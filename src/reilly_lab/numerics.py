@@ -98,7 +98,7 @@ def periodic_diff12(y: np.ndarray, h: float):
     m = y.shape[0]
     p = _wrap_pad(y)
     d2 = (-(p[4:] + p[:m]) + 16.0 * (p[3:m + 3] + p[1:m + 1])
-          - 30.0 * y) / (12.0 * h * h)
+          - 30.0 * p[2:m + 2]) / (12.0 * h * h)
     return _diff1(p, m, h), d2
 
 
@@ -112,8 +112,11 @@ def fourier_diff_matrix(m: int) -> np.ndarray:
     j = np.arange(m)
     col = np.zeros(m)
     col[1:] = 0.5 * (-1.0) ** j[1:] / np.tan(j[1:] * np.pi / m)
-    # D[i, j] = col[(i - j) mod m]; the transposed gather is F-ordered
-    return col[(j[None, :] - j[:, None]) % m].T
+    # D[i, j] = col[(i - j) mod m] = ext[m - 1 + i - j]: column j is window
+    # m - 1 - j of ext, and the transposed copy is F-ordered
+    ext = np.concatenate([col[1:], col])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, m)
+    return np.ascontiguousarray(windows[::-1]).T
 
 
 @functools.lru_cache(maxsize=None)       # (1j k)^order, read-only

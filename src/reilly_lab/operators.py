@@ -77,7 +77,9 @@ class DiscreteOperator:
         """
         d = self.symmetrizer
         if self.kind == "periodic":
-            return (self.dense * d[:, None]) / d[None, :]
+            s = self.dense * d[:, None]
+            s /= d
+            return s
         off = self.upper * d[:-1] / d[1:]
         return self.diag.copy(), off
 
@@ -124,7 +126,10 @@ class DiscreteOperator:
         # just above the spectral radius: large enough to clear the low
         # spectrum, small enough not to degrade eigh's absolute accuracy
         shift = 4.0 * float(np.max(np.abs(np.diag(s)))) + 10.0
-        return s - shift * np.outer(q, q)
+        qq = np.outer(q, q)
+        qq *= shift
+        s -= qq
+        return s
 
 
 def assemble_laplacian(model, bc: str) -> DiscreteOperator:
@@ -165,7 +170,8 @@ def assemble_laplacian(model, bc: str) -> DiscreteOperator:
             raise ValueError("operator assembly requires at least 8 samples")
         inv_r = 1.0 / model.curvature_radius
         d1 = fourier_diff_matrix(m)
-        dense = inv_r[:, None] * (d1 @ (d1 * inv_r[:, None]))
+        dense = d1 @ (d1 * inv_r[:, None])
+        dense *= inv_r[:, None]
         weights = model.boundary_weight() * model.d_angle
         return DiscreteOperator(
             kind="periodic", bc=PERIODIC, n=m, weights=weights,
@@ -222,7 +228,9 @@ def _eigh(op: DiscreteOperator, last: int, vectors: bool = False):
         if op.kind == "periodic":
             # the deflated alternating mode sits at the top of -S, never
             # inside the leading subset
-            return eigh(-op.deflated_symmetric(), eigvals_only=not vectors,
+            s = op.deflated_symmetric()          # a fresh matrix of ours
+            np.negative(s, out=s)
+            return eigh(s, eigvals_only=not vectors,
                         subset_by_index=[0, last])
         diag, off = op.symmetric_form()
         if op.bc == DIRICHLET:

@@ -714,6 +714,25 @@ def test_bad_flag_value_is_the_config_error_of_its_file_key(
     assert capsys.readouterr().err == from_flag
 
 
+@pytest.mark.parametrize("argv,flag,key", [
+    (["flow", "--t-end", "-1e-3", "--m", "32"], "--t-end", "t_end"),
+    (["flow", "--t-end", "0.01", "--dt", "-2E-4"], "--dt", "dt"),
+    (["sweep", "--check", "lichnerowicz", "--param", "n_pts", "--values",
+      "-2e0"], "--values", "n_pts"),
+])
+def test_negative_exponent_flag_value_reaches_the_config_parser(
+        argv, flag, key, capsys):
+    # argparse reads only -5 and -.5 shapes as negative numbers; it once
+    # took -1e-3 for a flag and raised SystemExit(2) out of main
+    assert run_cli(argv) == 2
+    spaced = capsys.readouterr().err
+    assert spaced.startswith(f"config error: {key} must be "), spaced
+    at = argv.index(flag)
+    glued = [*argv[:at], f"{flag}={argv[at + 1]}", *argv[at + 2:]]
+    assert run_cli(glued) == 2
+    assert capsys.readouterr().err == spaced
+
+
 def test_flag_and_file_key_echo_the_same_text(tmp_path, capsys):
     base = ["flow", "--t-end", "0.01", "--m", "32"]
     assert run_cli([*base, "--dt", "2e-3"]) == 0

@@ -644,6 +644,24 @@ def test_batched_wave_member_dies_alone(dt, death, dying_first):
         _assert_same_bytes(got, want)
 
 
+@pytest.mark.parametrize("dt, death", [(3.3e-3, "curvature-floor"),
+                                       (3.6e-3, "nonfinite")])
+def test_batched_wave_middle_member_dies_alone(dt, death):
+    # the step on which the ellipse dies fails the whole-batch breakdown
+    # check, which then judges each member alone: the disks on either side
+    # keep the bytes of their solo runs
+    members = [(disk_body(m=128), _COS2(0.2)),
+               (ellipse_body(1.5, 1.0, m=128), _COS2(0.2)),
+               (disk_body(m=128), 1.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [weingarten_wave(body, phi, 0.3, dt, snapshot_every=5)
+                for body, phi in members]
+        batch = flows.weingarten_waves(members, 0.3, dt, snapshot_every=5)
+    assert [res.death_reason for res in solo] == [None, death, None]
+    for got, want in zip(batch, solo):
+        _assert_same_bytes(got, want)
+
+
 def test_batched_waves_need_bodies_that_share_m():
     with pytest.raises(ValueError, match="share m"):
         flows.weingarten_waves([(disk_body(m=64), 1.0),
@@ -754,6 +772,48 @@ def test_batched_pnf_self_intersection_vetoes_one_member(monkeypatch):
     assert batch[0].death_reason == "self-intersection"
     assert batch[0].diagnostics["steps_run"] == 174
     assert batch[1].alive and batch[1].diagnostics["steps_run"] == 300
+
+
+def test_batched_pnf_middle_member_dies_alone():
+    batch = _assert_batch_matches_solo(
+        [(disk_body(m=64), _COS2(0.12)), (disk_body(m=64), _COS2(0.6)),
+         (disk_body(m=64), _COS2(0.12))], 1.5, 2e-3, 100)
+    assert [res.death_reason for res in batch] == [None, "curvature-floor",
+                                                   None]
+
+
+def test_batched_pnf_self_intersection_vetoes_the_middle_member(monkeypatch):
+    # the stand-in sweep of the test above: only the unit speed disk
+    # reaches radius 1.31 by t = 0.6
+    monkeypatch.setattr(flows, "self_intersects", lambda points: bool(
+        np.max(np.hypot(points[:, 0], points[:, 1])) > 1.31))
+    batch = _assert_batch_matches_solo(
+        [(disk_body(m=64), 0.5), (disk_body(m=64), 1.0),
+         (disk_body(m=64), 0.25)], 0.6, 2e-3, 10)
+    assert [res.death_reason for res in batch] == [None, "self-intersection",
+                                                   None]
+    assert [res.diagnostics["steps_run"] for res in batch] == [300, 174, 300]
+
+
+def test_plane_geometry_bytes_do_not_depend_on_layout():
+    # the geometry reads and writes one coordinate at a time, so a member's
+    # bytes are the same in an (m, B, 2) batch, in the wave's strided
+    # (m, B, 3)[..., :2] view and alone
+    bodies = [disk_body(m=128), ellipse_body(1.5, 1.0, m=128),
+              wavy_body(m=128)]
+    points = [body.points() for body in bodies]
+    hy = bodies[0].d_angle
+    z = np.stack([np.column_stack([p, np.zeros(128)]) for p in points],
+                 axis=1)
+    assert not z[..., :2].flags.c_contiguous
+    for layout in (np.stack(points, axis=1), z[..., :2]):
+        batch = flows._plane_geometry(layout, hy)
+        for c, p in enumerate(points):
+            solo = flows._plane_geometry(p, hy)
+            assert len(batch) == len(solo)
+            for got, want in zip(batch, solo):
+                assert np.ascontiguousarray(got[:, c]).tobytes() == \
+                    want.tobytes()
 
 
 def test_batched_pnfs_refuse_what_cannot_batch():
