@@ -13,11 +13,12 @@ from typing import List, Optional
 
 from . import __version__
 from .checks import from_inequality
-from .config import SuiteConfig, load_config, validate_flow, validate_sweep
+from .config import (SWEEP_CHECKS, SuiteConfig, load_config, validate_flow,
+                     validate_sweep)
 from .errors import ConfigError, ReillyLabError
 from .flows import concavity_check
 from .reporting import emit_report, flow_csv, sweep_csv
-from .suites import run_suite_checks
+from .suites import SUITE_NAMES, run_suite_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -48,13 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a named check suite")
-    p_verify.add_argument("--suite", help="one of reilly, bln, spectral, "
-                                          "colesanti, boundary, flows, "
-                                          "isoperimetric, all")
+    p_verify.add_argument("--suite",
+                          help="one of " + ", ".join(SUITE_NAMES))
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="sweep one numeric parameter of a check")
-    p_sweep.add_argument("--check", help="sharpness | lichnerowicz | flow-oracle")
+    p_sweep.add_argument("--check", help=" | ".join(SWEEP_CHECKS))
     p_sweep.add_argument("--param", help="parameter to sweep")
     p_sweep.add_argument("--values", help="comma-separated values")
 

@@ -17,9 +17,12 @@ N values are spelled as plain numbers with `0` meaning theta = -inf and
 `inf` meaning theta = 0.
 
 Command-line flags arrive as text and share their file keys' parsers.
-Validation parses each value once and returns what it parsed:
-`validate_sweep` the rows of the sweep, one zero-argument call per swept
-value, and `validate_flow` the zero-argument call that runs the flow.
+This module only parses and refuses: validation parses each value once
+and returns what it parsed, `validate_sweep` one row per swept value (the
+check's `suites` builder with that value in place of its reference one)
+and `validate_flow` the zero-argument call that runs the flow.  Grid
+sizes are bounded (`MAX_N_PTS`, `MAX_M`), so a mistyped size is refused
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -31,19 +34,29 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from .bodies import ConvexPlaneBody, SphereCap
-from .checks import CheckReport, from_identity
+from .checks import CheckReport
 from .dimension import InverseDimension, theta_from_config_n
 from .errors import ConfigError, ConvergenceFailure, CurvatureNotPositive
 from .flows import (FlowResult, latitude_circle, parallel_normal_flow,
                     weingarten_wave)
-from .inequalities import check_lichnerowicz, sharpness_ratio
-from .models import build_model_density
-from .presets import (body_from_spec, gaussian_half_model, gaussian_model,
-                      model_density_params)
-from .suites import SUITE_NAMES, _pnf_minkowski_oracle
+from .presets import body_from_spec
+from .suites import SUITE_NAMES, flow_oracle, lichnerowicz, sharpness
 from .trig import TrigPolynomial
 
 WORKERS_ENV = "REILLY_LAB_WORKERS"
+
+# Grid bounds.  Each keeps a mistyped value from allocating past memory and
+# admits every grid in use (n_pts = 32001 in the benchmark's spectra
+# sweep, a flow at m = 1024).
+# An interval model holds a few n_pts-long arrays: a Lichnerowicz sweep at
+# 10^6 points peaks near 135 MB.
+MAX_N_PTS = 10**6
+# A plane flow's state that is not certified convex goes to the O(m^2)
+# crossing sweep (about 0.2 GB of temporaries at m = 2048), and the flow
+# oracle's Hausdorff distance holds an (m, m, 2) float64 array (268 MB at
+# m = 4096).  The bound holds for a flow's m, the sweep's m and the
+# oracle's marker count locked to dt.
+MAX_M = 4096
 
 _SCHEMA = {
     "suite": {"name", "seed", "workers", "tol_scale", "out"},
@@ -51,12 +64,6 @@ _SCHEMA = {
               "beta_trunc", "m", "t_end"},
     "flow": {"kind", "body", "phi_coeffs", "t_end", "dt", "m",
              "snapshot_every"},
-}
-
-_SWEEP_CHECKS = {
-    "sharpness": {"beta_frac", "beta_trunc", "n_pts"},
-    "lichnerowicz": {"N", "n_pts"},
-    "flow-oracle": {"dt"},
 }
 
 
@@ -131,7 +138,7 @@ def _to_step(value: str, key: str) -> float:
     return step
 
 
-def _check_whole_steps(t_end: float, dt: float) -> float:
+def _check_whole_steps(t_end: float, dt: float) -> None:
     """Flows run round(t_end / dt) steps: t_end must be reached exactly."""
     steps = t_end / dt
     if steps == math.inf:
@@ -141,20 +148,30 @@ def _check_whole_steps(t_end: float, dt: float) -> float:
         raise ConfigError(f"t_end = {t_end!r} is not a whole number of steps "
                           f"of dt = {dt!r}; the nearest reachable t_end is "
                           f"{round(steps) * dt!r}")
-    return dt
 
 
-def _check_n_pts(n_pts: int) -> int:
+def _to_n_pts(value: str, key: str) -> int:
+    n_pts = _to_int(value, key)
     if n_pts < 16:
         raise ConfigError(f"n_pts must be at least 16, got {n_pts!r}")
+    if n_pts > MAX_N_PTS:
+        raise ConfigError(f"n_pts must be at most {MAX_N_PTS}, got {n_pts!r}")
     return n_pts
 
 
-def _check_lichnerowicz_n(value: str) -> InverseDimension:
+def _to_m(value: str) -> int:
+    m = _to_int(value, "m")
+    if m > MAX_M:
+        raise ConfigError(f"m must be <= {MAX_M}, got {m}")
+    return m
+
+
+def _to_theta(value: str, key: str) -> InverseDimension:
+    """The N of a Lichnerowicz row as theta = 1/N."""
     try:
         theta = theta_from_config_n(value)
     except ValueError as exc:
-        raise ConfigError(f"bad N {value!r}: {exc}") from exc
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
     if theta.theta == 1.0:
         raise ConfigError("N = 1 leaves the Lichnerowicz factor rho/(N-1) "
                           "undefined")
@@ -163,55 +180,26 @@ def _check_lichnerowicz_n(value: str) -> InverseDimension:
     return theta
 
 
-def _sharpness_row(rho: float, n_value: float, case: str, beta_frac: float,
-                   beta_trunc, n_pts: int) -> Callable[[], CheckReport]:
-    """The row of one sharpness value.  The density R^(N-1), truncated at
-    beta_frac times its positivity endpoint or, when hyperbolic, at
-    beta_trunc, must build: a truncation it refuses (outside the positivity
-    domain, a density or a grid spacing outside the double range) is an
-    error naming the key."""
-    key, value = (("beta_frac", beta_frac) if beta_trunc is None
-                  else ("beta_trunc", beta_trunc))
+def _refusing(inputs: str, builder: Callable[..., CheckReport],
+              **row) -> CheckReport:
+    """builder(**row), where the library's refusal of the row's inputs is
+    a configuration error naming them, ``inputs.format(**row)``."""
     try:
-        params = model_density_params(rho, n_value, beta_frac=beta_frac,
-                                      beta_trunc=beta_trunc, variant=case)
-        build_model_density(params, n_pts)
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {value!r} at N = {n_value!r}: "
-                          f"{exc}") from exc
-    return lambda: sharpness_ratio(params, n_pts=n_pts)
-
-
-def _lichnerowicz(theta: InverseDimension, n_pts: int, rho: float,
-                  case: str) -> CheckReport:
-    """One Lichnerowicz row.  At N = inf the weight is the Gaussian of
-    variance 1/rho on six standard deviations; Dirichlet takes the half
-    interval [0, b], whose wall is mean-convex for the weight.  A (rho, N)
-    whose density, operator or CD(rho, N) bound the grid cannot resolve in
-    double precision is an error naming both."""
-    nval = theta.n_value
-    try:
-        if theta.is_infinite_n:
-            sigma = 1.0 / math.sqrt(rho)
-            model = (gaussian_half_model if case == "dirichlet"
-                     else gaussian_model)(n_pts, sigma, 6.0 * sigma)
-        else:
-            model = build_model_density(model_density_params(
-                rho, nval, beta_trunc=8.0 if rho / (nval - 1) < 0 else None,
-                variant=case), n_pts)
-        return check_lichnerowicz(model, rho, theta, case=case)
+        return builder(**row)
     except (ValueError, ConvergenceFailure, CurvatureNotPositive) as exc:
-        raise ConfigError(f"rho = {rho!r} at N = {nval!r} on {n_pts} points: "
-                          f"{exc}") from exc
+        raise ConfigError(f"{inputs.format(**row)}: {exc}") from exc
 
 
-def _flow_oracle(dt: float, m: int, t_end: float) -> CheckReport:
-    """One flow-oracle row, space-time refinement locked: m ~ 1/dt."""
-    m = max(16, int(round(m * (1e-3 / dt))))
-    m += m % 2
-    dist = _pnf_minkowski_oracle(m, t_end, dt)
-    return from_identity("flow-vs-oracle", residual=dist, tolerance=1e-4,
-                         lhs=dist, rhs=0.0, params={"dt": dt, "m": m})
+# swept key -> the parser of one value; a swept N sets the builder's theta
+_SWEPT = {"beta_frac": _to_float, "beta_trunc": _to_step, "n_pts": _to_n_pts,
+          "N": _to_theta, "dt": _to_step}
+
+# sweep check -> (its suites builder, the keys it sweeps)
+SWEEP_CHECKS = {
+    "sharpness": (sharpness, ("beta_frac", "beta_trunc", "n_pts")),
+    "lichnerowicz": (lichnerowicz, ("N", "n_pts")),
+    "flow-oracle": (flow_oracle, ("dt",)),
+}
 
 
 # [suite] keys in parse order with their parsers (None keeps the text)
@@ -267,39 +255,32 @@ def load_config(path: Optional[str] = None,
 
 def validate_sweep(cfg: SuiteConfig) -> dict:
     """Parse and validate the [sweep] section, each value once, into
-    ``rows``: one zero-argument call per swept value returning its report."""
+    ``rows``: one zero-argument call per swept value, the check's suites
+    builder at the reference inputs with the swept one replaced."""
     sweep = cfg.sweep
     if "check" not in sweep:
         raise ConfigError("sweep requires a 'check' key")
     check = sweep["check"]
-    if check not in _SWEEP_CHECKS:
+    if check not in SWEEP_CHECKS:
         raise ConfigError(f"unknown sweep check {check!r}; expected one of "
-                          f"{', '.join(sorted(_SWEEP_CHECKS))}")
+                          f"{', '.join(sorted(SWEEP_CHECKS))}")
+    builder, swept = SWEEP_CHECKS[check]
     if "param" not in sweep:
         raise ConfigError("sweep requires a 'param' key")
     param = sweep["param"]
-    if param not in _SWEEP_CHECKS[check]:
+    if param not in swept:
         raise ConfigError(
             f"check {check!r} cannot sweep {param!r}; numeric fields: "
-            f"{', '.join(sorted(_SWEEP_CHECKS[check]))}")
+            f"{', '.join(sorted(swept))}")
     if "values" not in sweep:
         raise ConfigError("sweep requires a 'values' key")
     raw_values = [v.strip() for v in sweep["values"].split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep values must be a non-empty comma list")
+    values = [_SWEPT[param](raw, param) for raw in raw_values]
     t_end = _to_step(sweep.get("t_end", "0.5"), "t_end")
-    if check == "flow-oracle":
-        values = [_check_whole_steps(t_end, _to_step(raw, "dt"))
-                  for raw in raw_values]
-    n_pts = _to_int(sweep.get("n_pts", "4001"), "n_pts")
-    if param == "n_pts":
-        values = [_check_n_pts(_to_int(raw, "n_pts")) for raw in raw_values]
-    elif check != "flow-oracle":
-        _check_n_pts(n_pts)
-    if check == "lichnerowicz" and param == "N":
-        values = [_check_lichnerowicz_n(raw) for raw in raw_values]
-    elif check == "lichnerowicz":
-        theta = _check_lichnerowicz_n(sweep.get("N", "5"))
+    m = _to_m(sweep.get("m", "256"))
+    n_pts = _to_n_pts(sweep.get("n_pts", "4001"), "n_pts")
     case = sweep.get("case", "neumann").lower()
     if case not in ("neumann", "dirichlet"):
         raise ConfigError(f"case must be neumann or dirichlet, got "
@@ -320,8 +301,6 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
             raise ConfigError("case = dirichlet needs N > 1 for sharpness: "
                               "for N < 0 the extremal function does not "
                               "vanish at infinity")
-        if param == "beta_trunc":
-            values = [_to_step(raw, "beta_trunc") for raw in raw_values]
         truncated = param == "beta_trunc" or beta_trunc is not None
         hyperbolic = rho / (n_value - 1.0) < 0.0
         if truncated and not hyperbolic:
@@ -334,26 +313,39 @@ def validate_sweep(cfg: SuiteConfig) -> dict:
         if hyperbolic and param == "beta_frac":
             raise ConfigError("a hyperbolic sharpness density ignores "
                               "beta_frac; sweep beta_trunc instead")
-        if param == "beta_frac":
-            values = [_to_float(raw, "beta_frac") for raw in raw_values]
-            if not all(0.0 < frac < 1.0 for frac in values):
-                raise ConfigError(f"beta_frac values must lie in (0, 1), "
-                                  f"got {sweep['values']!r}")
-        fixed = {"beta_frac": 0.999, "beta_trunc": beta_trunc, "n_pts": n_pts}
-        rows = [_sharpness_row(rho, n_value, case, **{**fixed, param: value})
-                for value in values]
-    m = _to_int(sweep.get("m", "256"), "m")
-    if check == "lichnerowicz":
+        if param == "beta_frac" and not all(0.0 < frac < 1.0
+                                            for frac in values):
+            raise ConfigError(f"beta_frac values must lie in (0, 1), "
+                              f"got {sweep['values']!r}")
+        reference = {"rho": rho, "n_value": n_value, "case": case,
+                     "n_pts": n_pts, "beta_frac": 0.999,
+                     "beta_trunc": beta_trunc}
+        inputs = ("beta_trunc = {beta_trunc!r}" if truncated
+                  else "beta_frac = {beta_frac!r}") + " at N = {n_value!r}"
+    elif check == "lichnerowicz":
         if not (math.isfinite(rho) and rho > 0.0):
             raise ConfigError(f"lichnerowicz needs a finite rho > 0, got "
                               f"rho = {rho!r}")
-        rows = [partial(_lichnerowicz, value, n_pts, rho, case) if param == "N"
-                else partial(_lichnerowicz, theta, value, rho, case)
-                for value in values]
-    elif check == "flow-oracle":
-        rows = [partial(_flow_oracle, dt, m, t_end) for dt in values]
-    return {"check": check, "param": param, "values": raw_values,
-            "rows": rows}
+        reference = {"rho": rho, "case": case, "n_pts": n_pts}
+        if param != "N":
+            reference["theta"] = _to_theta(sweep.get("N", "5"), "N")
+        inputs = "rho = {rho!r} at N = {theta.n_value!r} on {n_pts} points"
+    else:
+        # flow_oracle locks its marker count to m * (1e-3 / dt)
+        smallest = m * 1e-3 / MAX_M
+        for dt in values:
+            _check_whole_steps(t_end, dt)
+            if dt < smallest:
+                raise ConfigError(
+                    f"dt = {dt!r} locks the oracle's marker count "
+                    f"m * (1e-3 / dt) above {MAX_M} at m = {m}; the "
+                    f"smallest dt allowed is {smallest!r}")
+        reference = {"m": m, "t_end": t_end}
+        inputs = "dt = {dt!r}"
+    argument = "theta" if param == "N" else param
+    rows = [partial(_refusing, inputs, builder,
+                    **{**reference, argument: value}) for value in values]
+    return {"param": param, "values": raw_values, "rows": rows}
 
 
 def validate_flow(cfg: SuiteConfig) -> Callable[[], FlowResult]:
@@ -383,7 +375,7 @@ def validate_flow(cfg: SuiteConfig) -> Callable[[], FlowResult]:
         raise ConfigError(f"t_end = {t_end!r} must span at least two and "
                           f"finitely many steps of dt = {dt!r}")
     _check_whole_steps(t_end, dt)
-    m = _to_int(flow.get("m", "256"), "m")
+    m = _to_m(flow.get("m", "256"))
     if m < 8:
         raise ConfigError(f"m must be >= 8, got {m}")
     phi = TrigPolynomial.from_flat(coeffs)

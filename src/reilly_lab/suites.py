@@ -16,16 +16,20 @@ selects the rows of one suite by the prefix before the ``/``, and
 Reports are emitted sorted by name, so the output is deterministic for a
 fixed configuration.  The caller and, where ``os.fork`` exists,
 ``workers - 1`` forked copies of it drain one queue of work items.
+
+``sharpness``, ``lichnerowicz`` and ``flow_oracle`` build the checks that
+``config.validate_sweep`` varies; the catalogue rows of the first two are
+``partial`` objects of them, whose grid is ``call.keywords["n_pts"]``.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 import os
 import pickle
 from dataclasses import replace
+from functools import cache, partial
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -105,9 +109,30 @@ def _bln_extremal(variant: str) -> CheckReport:
     return check_bln(model, rp(model.t), variant, TH5, fp=rpp(model.t))
 
 
-def _sharp(n_value: float, beta_trunc=None) -> CheckReport:
-    params = model_density_params(1.0, n_value, beta_trunc=beta_trunc)
-    return sharpness_ratio(params, n_pts=8001)
+def sharpness(rho: float, n_value: float, n_pts: int, case: str = "neumann",
+              beta_frac: float = 0.999, beta_trunc=None) -> CheckReport:
+    """``sharpness_ratio`` on R^(N-1) truncated at beta_frac times its
+    positivity endpoint or, when hyperbolic, at beta_trunc."""
+    return sharpness_ratio(model_density_params(
+        rho, n_value, beta_frac=beta_frac, beta_trunc=beta_trunc,
+        variant=case), n_pts=n_pts)
+
+
+def lichnerowicz(rho: float, theta: InverseDimension, n_pts: int,
+                 case: str = "neumann") -> CheckReport:
+    """``check_lichnerowicz`` on R^(N-1), truncated at 8 when hyperbolic,
+    at N = inf on the Gaussian of variance 1/rho on +-6 sigma; Dirichlet on
+    the half interval [0, b], whose wall is mean-convex for the weight."""
+    if theta.is_infinite_n:
+        sigma = 1.0 / math.sqrt(rho)
+        model = (gaussian_half_model if case == "dirichlet"
+                 else gaussian_model)(n_pts, sigma, 6.0 * sigma)
+    else:
+        n = theta.n_value
+        model = build_model_density(model_density_params(
+            rho, n, beta_trunc=8.0 if rho / (n - 1) < 0 else None,
+            variant=case), n_pts)
+    return check_lichnerowicz(model, rho, theta, case=case)
 
 
 def _gaussian_constant_rho():
@@ -184,6 +209,16 @@ def _pnf_measure(res, exact: float, tols, m: int, measure: str):
     ]
 
 
+def flow_oracle(dt: float, m: int, t_end: float) -> CheckReport:
+    """``_pnf_minkowski_oracle`` with space-time refinement locked: m
+    markers at dt = 1e-3, scaled as 1/dt to an even count of at least 16."""
+    m = max(16, int(round(m * (1e-3 / dt))))
+    m += m % 2
+    dist = _pnf_minkowski_oracle(m, t_end, dt)
+    return from_identity("flow-vs-oracle", residual=dist, tolerance=1e-4,
+                         lhs=dist, rhs=0.0, params={"dt": dt, "m": m})
+
+
 def _pnf_oracle(res):
     dist = _pnf_minkowski_oracle(256, 0.5, 2e-3, res)
     return [
@@ -240,11 +275,11 @@ def _extension(domain, t: float, exact: float) -> CheckReport:
 
 def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
     """Every check of every suite, in suite order."""
-    waves = functools.cache(lambda: weingarten_waves([
+    waves = cache(lambda: weingarten_waves([
         (disk_body(m=128), 1.0),
         (disk_body(m=128), TrigPolynomial((1.0, 0.0, 0.2))),
         (ellipse_body(m=128), 1.0)], 0.2, 2e-4))
-    pnfs = functools.cache(lambda: parallel_normal_flows([
+    pnfs = cache(lambda: parallel_normal_flows([
         (disk_body(m=256), 1.0), (disk_body(m=256), _ORACLE_PHI),
         (disk_body(m=256), TrigPolynomial((1.0, 0.0, 0.12)))], 0.5, 2e-3,
         snapshot_every=250))
@@ -273,19 +308,19 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
         ("bln/gaussian-ball-meanconvex", lambda: _bln_samples(
             gaussian_ball(2, 0.8, 1001), lambda b: b.r**2, "meanconvex",
             C=0.0)),
-        ("bln/sharpness-n5", lambda: _sharp(5.0)),
-        ("bln/sharpness-n-2", lambda: _sharp(-2.0, beta_trunc=8.0)),
-        ("bln/sharpness-n1.5", lambda: _sharp(1.5)),
+        ("bln/sharpness-n5", partial(sharpness, 1.0, 5.0, n_pts=8001)),
+        ("bln/sharpness-n-2",
+         partial(sharpness, 1.0, -2.0, n_pts=8001, beta_trunc=8.0)),
+        ("bln/sharpness-n1.5", partial(sharpness, 1.0, 1.5, n_pts=8001)),
 
         ("spectral/lichnerowicz-model-n5",
-         lambda: check_lichnerowicz(_model(5.0, 2001), 1.0, TH5)),
-        ("spectral/lichnerowicz-model-n20", lambda: check_lichnerowicz(
-            _model(20.0, 2001), 1.0, InverseDimension.from_n(20.0))),
+         partial(lichnerowicz, 1.0, TH5, n_pts=2001)),
+        ("spectral/lichnerowicz-model-n20", partial(
+            lichnerowicz, 1.0, InverseDimension.from_n(20.0), n_pts=2001)),
         ("spectral/lichnerowicz-gauss",
-         lambda: check_lichnerowicz(gaussian_model(2001), 1.0, TH_INF)),
+         partial(lichnerowicz, 1.0, TH_INF, n_pts=2001)),
         ("spectral/lichnerowicz-gauss-half-dirichlet",
-         lambda: check_lichnerowicz(gaussian_half_model(2001), 1.0, TH_INF,
-                                    case="dirichlet")),
+         partial(lichnerowicz, 1.0, TH_INF, n_pts=2001, case="dirichlet")),
         ("spectral/veysseire-quartic",
          lambda: check_veysseire(veysseire_quartic_model(2001))),
         ("spectral/veysseire-constant",

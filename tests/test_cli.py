@@ -1,12 +1,15 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from reilly_lab import config, suites
 from reilly_lab.checks import CheckReport
 from reilly_lab.cli import main
-from reilly_lab.config import load_config, parse_config_text, validate_sweep
+from reilly_lab.config import (SWEEP_CHECKS, load_config, parse_config_text,
+                               validate_flow, validate_sweep)
 from reilly_lab.errors import ConfigError
 from reilly_lab.reporting import emit_report, format_number
 
@@ -742,3 +745,84 @@ def test_flag_and_file_key_echo_the_same_text(tmp_path, capsys):
     assert run_cli([*base, "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["config_echo"] == from_flag
     assert from_flag["flow"]["dt"] == "2e-3"
+
+
+@pytest.mark.parametrize("command,flag,names", [
+    ("verify", "--suite", suites.SUITE_NAMES),
+    ("sweep", "--check", tuple(SWEEP_CHECKS)),
+])
+def test_help_names_every_suite_and_sweep_check(command, flag, names,
+                                                monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        run_cli([command, "--help"])
+    [line] = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.lstrip().startswith(flag)]
+    listed = re.findall(r"[\w-]+", line.split(flag[2:].upper(), 1)[1])
+    assert set(listed) - {"one", "of"} == set(names)
+
+
+@pytest.fixture
+def nothing_is_built(monkeypatch):
+    """Every sweep builder and the flow's body builder fail when called."""
+    def built(*args, **kwargs):
+        raise AssertionError("a grid past its bound was built")
+    monkeypatch.setattr(config, "body_from_spec", built)
+    for check, (_, swept) in list(SWEEP_CHECKS.items()):
+        monkeypatch.setitem(SWEEP_CHECKS, check, (built, swept))
+
+
+_ORACLE = ["sweep", "--check", "flow-oracle", "--param", "dt", "--values"]
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    # exited 3 with ValueError: Maximum allowed size exceeded
+    ([*_ORACLE, "1e-300"], "", "dt = 1e-300 locks the oracle's marker count "
+     "m * (1e-3 / dt) above 4096 at m = 256; the smallest dt allowed is "
+     "6.25e-05"),
+    # exited 3 with MemoryError (1.86 TiB)
+    ([*_ORACLE, "1e-12"], "", "dt = 1e-12 locks"),
+    # did not finish in 20 s at the locked m = 2.56e6
+    ([*_ORACLE, "1e-3,1e-7"], "", "dt = 1e-07 locks"),
+    # these three exited 3 with MemoryError
+    ([*_ORACLE, "1e-3"], "m = 100000000000\n",
+     "m must be <= 4096, got 100000000000"),
+    (["sweep", "--check", "lichnerowicz", "--param", "n_pts", "--values",
+      "100000000000"], "", "n_pts must be at most 1000000, got 100000000000"),
+    (["flow", "--m", "1000000000000", "--t-end", "0.01", "--dt", "1e-3"], "",
+     "m must be <= 4096, got 1000000000000"),
+    # just past each bound
+    ([*_ORACLE, "5e-05"], "", "smallest dt allowed is 6.25e-05"),
+    ([*_ORACLE, "4e-4"], "m = 2048\n", "smallest dt allowed is 0.0005"),
+    (["sweep", "--check", "sharpness", "--param", "beta_frac", "--values",
+      "0.9"], "n_pts = 1000001\n", "n_pts must be at most 1000000"),
+])
+def test_oversized_grids_are_refused_before_anything_is_built(
+        argv, text, message, nothing_is_built, tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[{argv[0]}]\n{text}")
+    assert run_cli([*argv, "--config", str(cfg)]) == 2
+    _config_error(capsys, message)
+
+
+def test_grid_bounds_admit_every_grid_in_use():
+    # the largest grids in use: the benchmark's n_pts = 32001 sweep and a
+    # flow at m = 1024
+    for n_pts in ("32001", str(config.MAX_N_PTS)):
+        validate_sweep(load_config(None, overrides={
+            "sweep.check": "lichnerowicz", "sweep.param": "n_pts",
+            "sweep.values": n_pts}))
+    for m in ("1024", str(config.MAX_M)):
+        validate_flow(load_config(None, overrides={"flow.m": m,
+                                                   "flow.t_end": "0.01"}))
+
+
+@pytest.mark.parametrize("dt,locked", [("6.25e-05", 4096), ("1e-3", 256),
+                                       ("4e-3", 64)])
+def test_oracle_locks_at_most_the_bound(dt, locked, monkeypatch):
+    monkeypatch.setattr(suites, "_pnf_minkowski_oracle",
+                        lambda m, t_end, dt: 0.0)
+    [row] = validate_sweep(load_config(None, overrides={
+        "sweep.check": "flow-oracle", "sweep.param": "dt",
+        "sweep.values": dt}))["rows"]
+    assert row().params["m"] == locked

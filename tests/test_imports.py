@@ -1,9 +1,11 @@
 """The package and the flows load numpy only; scipy loads on first use.
 
 Each probe runs in a fresh interpreter, so modules imported by other tests
-cannot mask a module-level scipy import.
+cannot mask a module-level scipy import.  No module of the package imports
+a name it never reads (a stdlib ``ast`` check: no linter is required).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -53,3 +55,37 @@ def test_verify_all_loads_only_scipy_linalg(tmp_path):
                  "scipy.optimize", "scipy.spatial"):
         assert f"'{name}'" not in loaded
     assert "'scipy.linalg'" in loaded
+
+
+def _unused_imports(source: str):
+    """Names the module imports and never reads: not as a bare name, not as
+    the base of an attribute and not as an entry of ``__all__``."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(imported - used)
+
+
+def test_unused_import_check_finds_what_it_should():
+    source = ("from __future__ import annotations\nimport os\n"
+              "import numpy.linalg\nfrom a import b, c as d, e\n"
+              "__all__ = ['e']\nprint(b, numpy.linalg.norm)\n")
+    assert _unused_imports(source) == ["d", "os"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(Path(SRC, "reilly_lab").glob("*.py"))
+    unused = {path.name: names for path in paths
+              if (names := _unused_imports(path.read_text("utf-8")))}
+    assert len(paths) > 10 and unused == {}

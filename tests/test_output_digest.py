@@ -40,12 +40,13 @@ def _load_tool():
 
 
 def test_cli_lines_cover_every_sweep_check_and_flow_kind():
-    from reilly_lab.config import _SWEEP_CHECKS
+    from reilly_lab.config import SWEEP_CHECKS
     tool = _load_tool()
     lines = list(tool.cli_digests())
     assert list(tool.cli_digests()) == lines
     swept = {tuple(args[:2]) for _, args, _ in tool.SWEEP_RUNS}
-    assert swept == {(check, param) for check, params in _SWEEP_CHECKS.items()
+    assert swept == {(check, param)
+                     for check, (_, params) in SWEEP_CHECKS.items()
                      for param in params}
     exits = {name: field for kind, name, field, _ in map(str.split, lines)
              if field.startswith("exit=")}

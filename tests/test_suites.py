@@ -6,12 +6,13 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from reilly_lab import cli, suites
 from reilly_lab.checks import from_identity
-from reilly_lab.config import load_config, validate_sweep
+from reilly_lab.config import SWEEP_CHECKS, load_config, validate_sweep
 from reilly_lab.errors import ConvexityViolation, ReillyLabError
 from reilly_lab.reporting import check_to_json, emit_report
 from reilly_lab.suites import SUITE_NAMES, run_suite_checks, suite_thunks
@@ -269,8 +270,8 @@ def test_pnf_rows_are_one_item_integrated_once_per_run(monkeypatch, tmp_path):
 
 
 
-# sweep rows at the catalogue's parameters, built by config.validate_sweep
-# through code of its own, and the catalogue rows they reproduce
+# sweep rows at the catalogue's parameters, which config.validate_sweep
+# builds from the same suites builder as the catalogue row they reproduce
 _LICH = {"check": "lichnerowicz", "param": "N", "n_pts": "2001", "rho": "1"}
 _SHARP = {"check": "sharpness", "param": "n_pts", "values": "8001",
           "rho": "1"}
@@ -295,3 +296,18 @@ def test_sweep_rows_equal_the_catalogue_rows_they_duplicate():
         want = catalogue[name]()
         assert check_to_json(replace(row(), name=want.name)) == \
             check_to_json(want), name
+
+
+def test_swept_catalogue_rows_are_partials_of_the_sweep_builders():
+    catalogue = dict(suite_thunks("all", 3))
+    for name, sweep in _SWEEP_TWINS.items():
+        cfg = load_config(None, overrides={f"sweep.{key}": value
+                                           for key, value in sweep.items()})
+        [row] = validate_sweep(cfg)["rows"]
+        builder = SWEEP_CHECKS[sweep["check"]][0]
+        call = catalogue[name]
+        assert isinstance(call, partial) and call.func is builder, name
+        assert builder in row.args, name
+        # the grid is data: a refined copy runs and records its grid
+        n = call.keywords["n_pts"]
+        assert partial(call, n_pts=2 * n - 1)().params["n"] == 2 * n - 1
