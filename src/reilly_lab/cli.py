@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TextIO
 
 from . import __version__
 from .checks import from_inequality
@@ -17,7 +17,7 @@ from .config import (SWEEP_CHECKS, SuiteConfig, load_config, validate_flow,
                      validate_sweep)
 from .errors import ConfigError, ReillyLabError
 from .flows import concavity_check
-from .reporting import emit_report, flow_csv, sweep_csv
+from .reporting import emit_report, sweep_csv, write_flow_csv
 from .suites import SUITE_NAMES, run_suite_checks
 
 EXIT_OK = 0
@@ -87,13 +87,15 @@ def _glue_negative_values(argv: List[str]) -> List[str]:
     return out
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], emit: Callable[[TextIO], object]) -> None:
+    """``emit(handle)`` into the file at ``path``, or into stdout when
+    ``path`` is None."""
     if path is None:
-        sys.stdout.write(text)
+        emit(sys.stdout)
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                emit(handle)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -109,7 +111,8 @@ def _cmd_verify(args) -> int:
     cfg = _config(args, suite=args.suite)
     reports = run_suite_checks(cfg.suite, seed=cfg.seed, workers=cfg.workers,
                                tol_scale=cfg.tol_scale)
-    _write(cfg.out or None, emit_report(reports, cfg.echo()))
+    document = emit_report(reports, cfg.echo())
+    _write(cfg.out or None, lambda handle: handle.write(document))
     passed = sum(1 for r in reports if r.passed is True)
     failed = [r for r in reports if r.passed is False]
     diag = sum(1 for r in reports if r.passed is None)
@@ -126,7 +129,8 @@ def _cmd_sweep(args) -> int:
                            for key in ("check", "param", "values")})
     spec = validate_sweep(cfg)
     reports = [row().with_tol_scale(cfg.tol_scale) for row in spec["rows"]]
-    _write(cfg.out, sweep_csv(spec["param"], spec["values"], reports))
+    table = sweep_csv(spec["param"], spec["values"], reports)
+    _write(cfg.out, lambda handle: handle.write(table))
     return EXIT_OK if all(r.gate() for r in reports) else EXIT_CHECK_FAILURE
 
 
@@ -147,7 +151,7 @@ def _cmd_flow(args) -> int:
     document = emit_report(sorted(reports, key=lambda r: r.name), cfg.echo())
     sys.stdout.write(document)
     if cfg.out:
-        _write(cfg.out, flow_csv(result.states))
+        _write(cfg.out, lambda handle: write_flow_csv(handle, result.states))
     return EXIT_OK if all(r.gate() for r in reports) else EXIT_CHECK_FAILURE
 
 

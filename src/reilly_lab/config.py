@@ -52,11 +52,18 @@ WORKERS_ENV = "REILLY_LAB_WORKERS"
 # 10^6 points peaks near 135 MB.
 MAX_N_PTS = 10**6
 # A plane flow's state that is not certified convex goes to the O(m^2)
-# crossing sweep (about 0.2 GB of temporaries at m = 2048), and the flow
-# oracle's Hausdorff distance holds an (m, m, 2) float64 array (268 MB at
-# m = 4096).  The bound holds for a flow's m, the sweep's m and the
-# oracle's marker count locked to dt.
+# crossing sweep (0.4 s at m = 4096, its temporaries blocked to about
+# 9 MB), and the flow oracle's Hausdorff distance holds an (m, m, 2)
+# float64 array (268 MB at m = 4096).  The bound holds for a flow's m, the
+# sweep's m and the oracle's marker count locked to dt.
 MAX_M = 4096
+
+# A flow's first step moves a marker by up to dt * sum_k (1 + k) |a_k| for
+# the speed phi = sum_k a_k cos(k t) (phi along the normal, phi' along the
+# tangent).  The plane geometry cubes the marker speed |dF/dy|, a length,
+# which overflows past (1.8e308)^(1/3) = 5.6e102; MAX_STEP leaves a margin
+# below that for the body's size and the RK4 stages.
+MAX_STEP = 1e100
 
 _SCHEMA = {
     "suite": {"name", "seed", "workers", "tol_scale", "out"},
@@ -375,6 +382,11 @@ def validate_flow(cfg: SuiteConfig) -> Callable[[], FlowResult]:
         raise ConfigError(f"t_end = {t_end!r} must span at least two and "
                           f"finitely many steps of dt = {dt!r}")
     _check_whole_steps(t_end, dt)
+    step = dt * sum((1 + k) * abs(c) for k, c in enumerate(coeffs))
+    if step > MAX_STEP:
+        raise ConfigError(f"phi_coeffs {coeffs_text!r} move a marker up to "
+                          f"{step:.3g} in one step of dt = {dt!r}; at most "
+                          f"{MAX_STEP:g} keeps the step finite")
     m = _to_m(flow.get("m", "256"))
     if m < 8:
         raise ConfigError(f"m must be >= 8, got {m}")

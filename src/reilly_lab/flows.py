@@ -260,24 +260,35 @@ def self_intersects(points: np.ndarray) -> bool:
     return _crossing_sweep(points)
 
 
+# Segment pairs the crossing sweep tests at once: its temporaries peak near
+# nine float64 arrays of this size (9 MB), whatever m is.
+_SWEEP_PAIRS = 1 << 17
+
+
 def _crossing_sweep(points: np.ndarray) -> bool:
-    """Proper-crossing sweep over all non-adjacent polyline segment pairs."""
+    """Proper-crossing sweep over all non-adjacent polyline segment pairs,
+    in blocks of rows of about _SWEEP_PAIRS pairs each."""
     m = points.shape[0]
     a = points
     b = np.roll(points, -1, axis=0)
-    ax, ay = a[:, 0][:, None], a[:, 1][:, None]
-    bx, by = b[:, 0][:, None], b[:, 1][:, None]
     cx, cy = a[:, 0][None, :], a[:, 1][None, :]
     dx, dy = b[:, 0][None, :], b[:, 1][None, :]
-    d1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    d2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    d3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    d4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
     idx = np.arange(m)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    adjacent = (gap <= 1) | (gap >= m - 1)
-    return bool(np.any(hit & ~adjacent))
+    rows = max(1, _SWEEP_PAIRS // m)
+    for lo in range(0, m, rows):
+        block = slice(lo, lo + rows)
+        ax, ay = a[block, 0][:, None], a[block, 1][:, None]
+        bx, by = b[block, 0][:, None], b[block, 1][:, None]
+        d1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        d2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+        d3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+        d4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+        hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+        gap = np.abs(idx[block, None] - idx[None, :])
+        adjacent = (gap <= 1) | (gap >= m - 1)
+        if np.any(hit & ~adjacent):
+            return True
+    return False
 
 
 def _phi_samples(body_angles: np.ndarray, phi) -> np.ndarray:

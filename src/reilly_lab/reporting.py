@@ -5,10 +5,15 @@ dictionary keys are emitted in a fixed order, so two runs of the same
 configuration produce byte-identical output.  Non-finite values are
 rendered as the strings "inf", "-inf" and "nan" (valid JSON, unlike the
 bare tokens).
+
+A trajectory CSV is written to its handle state by state
+(``write_flow_csv``), so ``flow --out`` never holds the whole file as
+text; ``flow_csv`` builds the same bytes as one str.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from typing import Iterable, List
 
@@ -107,10 +112,12 @@ def sweep_csv(param: str, values: List[str],
     return "\n".join(lines) + "\n"
 
 
-def flow_csv(states) -> str:
-    """Trajectory dump: t, marker index, coordinates, speed, curvature, normal."""
-    lines = ["t,idx,x,y,phi,kappa,nux,nuy" if states[0].points.shape[1] == 2
-             else "t,idx,x,y,z,phi,kappa,nux,nuy,nuz"]
+def write_flow_csv(handle, states) -> None:
+    """Trajectory dump to an open text handle, one state's rows per write:
+    t, marker index, coordinates, speed, curvature, normal."""
+    handle.write("t,idx,x,y,phi,kappa,nux,nuy\n"
+                 if states[0].points.shape[1] == 2
+                 else "t,idx,x,y,z,phi,kappa,nux,nuy,nuz\n")
     for state in states:
         m = state.points.shape[0]
         # the row index rides along as a float column: "%d" % 3.0 == "3"
@@ -119,5 +126,12 @@ def flow_csv(states) -> str:
         # "%.17g" % x is format(x, ".17g") for every Python float
         row = format(state.t, ".17g") + ",%d," + ",".join(
             ["%.17g"] * (cols.shape[1] - 1))
-        lines.append("\n".join([row] * m) % tuple(cols.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+        handle.write("\n".join([row] * m) % tuple(cols.ravel().tolist()))
+        handle.write("\n")
+
+
+def flow_csv(states) -> str:
+    """write_flow_csv's text as one str."""
+    buffer = io.StringIO()
+    write_flow_csv(buffer, states)
+    return buffer.getvalue()

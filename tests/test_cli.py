@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,90 @@ def test_flow_csv_schema_sphere(tmp_path, capsys):
                     "--dt", "0.002", "--m", "64", "--out", str(out)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "t,idx,x,y,z,phi,kappa,nux,nuy,nuz"
+
+
+_STREAMED_FLOWS = [
+    ("parallel-normal", "ellipse:1.3,1", "1,0,0.1", "64", "0.05", "1e-3"),
+    ("parallel-normal", "cap:0.6", "1,0,0.1", "64", "0.05", "1e-3"),
+    ("weingarten", "ellipse:1.2,1", "1,0,0.1", "64", "0.01", "2e-4"),
+]
+
+
+def _library_flow(kind, body, coeffs, m, t_end, dt):
+    from reilly_lab.flows import (latitude_circle, parallel_normal_flow,
+                                  weingarten_wave)
+    from reilly_lab.presets import body_from_spec
+    from reilly_lab.trig import TrigPolynomial
+    phi = TrigPolynomial.from_flat([float(c) for c in coeffs.split(",")])
+    start = body_from_spec(body, m=int(m))
+    if body.startswith("cap:"):
+        start = latitude_circle(start.r_cap, m=int(m))
+    integrate = (weingarten_wave if kind == "weingarten"
+                 else parallel_normal_flow)
+    return integrate(start, phi, float(t_end), float(dt), snapshot_every=10)
+
+
+@pytest.mark.parametrize("flow", _STREAMED_FLOWS,
+                         ids=["plane", "cap", "wave"])
+def test_streamed_flow_file_equals_flow_csv(flow, tmp_path, capsys):
+    from reilly_lab.reporting import flow_csv
+    kind, body, coeffs, m, t_end, dt = flow
+    out = tmp_path / "traj.csv"
+    assert run_cli(["flow", "--kind", kind, "--body", body, "--phi-coeffs",
+                    coeffs, "--m", m, "--t-end", t_end, "--dt", dt,
+                    "--out", str(out)]) == 0
+    states = _library_flow(*flow).states
+    assert len(states) > 2
+    expected = flow_csv(states).encode("utf-8")
+    assert out.read_bytes() == expected
+    header = expected.split(b"\n", 1)[0].split(b",")
+    assert len(header) == (10 if body.startswith("cap:") else 8)
+
+
+def test_flow_out_holds_less_than_its_file_in_memory(tmp_path, capsys):
+    # the whole CSV as text would be about three times the file
+    out = tmp_path / "traj.csv"
+    argv = ["flow", "--kind", "parallel-normal", "--body", "ellipse:1.3,1",
+            "--phi-coeffs", "1,0,0.1", "--m", "512", "--t-end", "0.19",
+            "--dt", "1e-3", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 + 20 * 512
+    assert peak < len(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,body,coeffs", [
+    ("parallel-normal", "disk", "1e300"),
+    ("parallel-normal", "disk", "1,1e300"),
+    ("parallel-normal", "cap:0.5", "1e300"),
+    ("weingarten", "disk", "1e300"),
+    ("parallel-normal", "disk", "1e308,1e308"),
+])
+def test_flow_refuses_a_speed_whose_first_step_overflows(kind, body, coeffs,
+                                                          capsys):
+    # these once overflowed in the plane geometry's speed**3 (exit 1 with
+    # RuntimeWarnings, or exit 3 under -W error)
+    assert run_cli(["flow", "--kind", kind, "--body", body, "--phi-coeffs",
+                    coeffs, "--t-end", "0.01", "--dt", "1e-3"]) == 2
+    _config_error(capsys, "phi_coeffs")
+
+
+@pytest.mark.filterwarnings("error")
+def test_first_step_bound_admits_a_finite_fast_flow(capsys):
+    # one step of 1e-3 at speed 1e102 moves markers by 1e99, whose cube
+    # is finite: the flow runs, and dies by its curvature floor
+    assert run_cli(["flow", "--body", "disk", "--phi-coeffs", "1e102",
+                    "--t-end", "0.01", "--dt", "1e-3", "--m", "32"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    alive = next(c for c in doc["checks"] if c["name"] == "flow-alive")
+    assert alive["params"]["death_reason"] == "curvature-floor"
 
 
 def test_flow_weingarten_report(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,62 @@ def test_self_intersects_matches_sweep_on_convex_corpus():
         points = body.points()
         assert self_intersects(points) is False
         assert _crossing_sweep(points) is False
+
+
+def _unblocked_sweep(points):
+    # reference: the sweep over every segment pair at once, as one
+    # m-by-m broadcast
+    m = points.shape[0]
+    a, b = points, np.roll(points, -1, axis=0)
+    ax, ay = a[:, 0][:, None], a[:, 1][:, None]
+    bx, by = b[:, 0][:, None], b[:, 1][:, None]
+    cx, cy = a[:, 0][None, :], a[:, 1][None, :]
+    dx, dy = b[:, 0][None, :], b[:, 1][None, :]
+    d1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    d2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    d3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    d4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    gap = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    adjacent = (gap <= 1) | (gap >= m - 1)
+    return bool(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & ~adjacent))
+
+
+def _lobed(m, lobes=5, depth=0.3):
+    t = np.arange(m) * (2.0 * np.pi / m)
+    r = 1.0 + depth * np.cos(lobes * t)
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+@pytest.mark.parametrize("pairs", [1, 3 * 101, 7 * 101 + 5, 1 << 17])
+def test_blocked_sweep_gives_the_unblocked_verdict(pairs, monkeypatch):
+    # m = 101 is a multiple of no block size but 1 and 101
+    monkeypatch.setattr(flows, "_SWEEP_PAIRS", pairs)
+    rng = np.random.default_rng(22)
+    m = 101
+    lobes = _lobed(m)
+    star = _star_polygon(m, 1e-3, seed=5)
+    polys = [lobes, lobes[::-1], _swapped(lobes, 0, 1),
+             _swapped(lobes, m - 3, m - 2), _swapped(lobes, 10, 60),
+             _lobed(m, depth=2.0), star, _swapped(star, m - 2, m - 1)]
+    polys += [rng.standard_normal((k, 2)) for k in (4, 5, 17, m)]
+    polys += [_star_polygon(m, noise, seed=i)
+              for i, noise in enumerate([0.05, 0.2, 0.5])]
+    want = [_unblocked_sweep(p) for p in polys]
+    assert [_crossing_sweep(p) for p in polys] == want
+    assert want[:6] == [False, False, True, True, True, True]
+
+
+def test_blocked_sweep_bounds_its_memory():
+    # the unblocked sweep peaked near 200 MB here
+    lobes = _lobed(2048)
+    tracemalloc.start()
+    try:
+        verdict = _crossing_sweep(lobes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is False
+    assert peak < 25e6
 
 
 @pytest.mark.parametrize("m", [64, 1024])
