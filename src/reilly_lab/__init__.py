@@ -22,12 +22,11 @@ from .bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
                      build_plane_body, build_sphere_body, build_spheroid_body)
 from .checks import CheckReport
 from .dimension import InverseDimension
-from .flows import (ConcavitySeries, FlowResult, FlowState, QuermassTriple,
-                    concavity_check, geodesic_extension_measure,
-                    isoperimetric_checks, latitude_circle,
-                    minkowski_sum_support, parallel_normal_flow,
-                    parallel_normal_flows, quermassintegrals,
-                    weingarten_wave, weingarten_waves)
+from .flows import (ConcavitySeries, FlowResult, FlowState, concavity_check,
+                    geodesic_extension_measure, isoperimetric_checks,
+                    latitude_circle, minkowski_sum_support,
+                    parallel_normal_flow, parallel_normal_flows,
+                    quermassintegrals, weingarten_wave, weingarten_waves)
 from .inequalities import (boundary_cd_report, check_bln, check_boundary_gaps,
                            check_colesanti, check_dual_colesanti,
                            check_lichnerowicz, check_mean_curvature,
@@ -39,14 +38,14 @@ from .operators import (BoundaryGeometry, DiscreteOperator,
                         assemble_laplacian, boundary_gap_revolution,
                         boundary_geometry, solve_poisson, spectral_gap,
                         weighted_integral)
-from .reilly import cd_margin, gamma2_residual, reilly_residual
+from .reilly import cd_margin, gamma2_field, reilly_residual
 from .trig import TrigPolynomial
 
 __all__ = [
     "__version__",
     "BoundaryGeometry", "CheckReport", "ConcavitySeries", "ConvexPlaneBody",
     "DiscreteOperator", "FlowResult", "FlowState", "IntervalModel",
-    "InverseDimension", "ModelDensityParams", "QuermassTriple", "RadialBall",
+    "InverseDimension", "ModelDensityParams", "RadialBall",
     "RevolutionBody3D", "SphereCap", "TrigPolynomial",
     "assemble_laplacian", "boundary_cd_report", "boundary_gap_revolution",
     "boundary_geometry", "build_gaussian_interval", "build_interval_model",
@@ -55,7 +54,7 @@ __all__ = [
     "cd_margin", "check_bln", "check_boundary_gaps",
     "check_colesanti", "check_dual_colesanti", "check_lichnerowicz",
     "check_mean_curvature", "check_veysseire", "concavity_check",
-    "gamma2_residual", "geodesic_extension_measure", "isoperimetric_checks",
+    "gamma2_field", "geodesic_extension_measure", "isoperimetric_checks",
     "latitude_circle", "minkowski_sum_support", "parallel_normal_flow",
     "parallel_normal_flows", "quermassintegrals", "reilly_residual",
     "sharpness_ratio", "solve_poisson", "spectral_gap", "weighted_integral",

@@ -79,10 +79,6 @@ class ConvexPlaneBody:
         """Enclosed measure: plane bodies carry no potential."""
         return self.area()
 
-    def recomputed_support(self) -> np.ndarray:
-        """<p(theta), nu(theta)>; equals h to spectral accuracy (round trip)."""
-        return np.einsum("ij,ij->i", self.points(), self.normals())
-
 
 def build_plane_body(
     support: TrigPolynomial | tuple | list,
@@ -303,15 +299,3 @@ class SphereCap:
 
     def area(self, extra: float = 0.0) -> float:
         return 2.0 * math.pi * (1.0 - math.cos(self.r_cap + extra))
-
-    def boundary_length(self) -> float:
-        return 2.0 * math.pi * math.sin(self.r_cap)
-
-    def geodesic_curvature(self) -> float:
-        """Curvature of the boundary circle wrt the outward conormal: cot r."""
-        return math.cos(self.r_cap) / math.sin(self.r_cap)
-
-    def area_by_quadrature(self) -> float:
-        """Latitude quadrature of sin(phi); independent check of area()."""
-        phi = np.linspace(0.0, self.r_cap, 4097)
-        return 2.0 * math.pi * simpson_uniform(np.sin(phi), phi[1] - phi[0])

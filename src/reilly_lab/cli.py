@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", parents=[common],
                             help="run a geometric flow and dump trajectories")
     p_flow.add_argument("--kind", help="parallel-normal | weingarten")
-    p_flow.add_argument("--body", help="disk | ellipse:a,b | wavy | cap:r")
+    p_flow.add_argument("--body", help="disk | ellipse:a,b | cap:r")
     p_flow.add_argument("--phi-coeffs", dest="phi_coeffs",
                         help="cosine coefficients a0,a1,... of the speed")
     p_flow.add_argument("--t-end", dest="t_end")

@@ -26,7 +26,7 @@ members one by one only when either fails.
 
 Flow breakdown (non-finite state, curvature floor, self-intersection,
 loss of positive measure) is a reported outcome: the run returns its
-partial history with alive = False and never raises for it.
+partial history with alive = False and never raises or warns for it.
 """
 
 from __future__ import annotations
@@ -93,33 +93,6 @@ class ConcavitySeries:
         return np.array([self.theta.transform_mass(v) for v in self.masses])
 
 
-@dataclass(frozen=True)
-class QuermassTriple:
-    """Zeroth, first and second boundary variations with N-normalization."""
-
-    delta0: float               # mu(K)
-    delta1: float               # mu(boundary K)
-    delta2: float               # int H_mu dmu
-    theta: InverseDimension
-
-    @property
-    def w_n(self) -> float:
-        return self.delta0
-
-    @property
-    def w_n_minus_1(self) -> Optional[float]:
-        if self.theta.is_zero_n or self.theta.is_infinite_n:
-            return None
-        return self.delta1 * self.theta.theta
-
-    @property
-    def w_n_minus_2(self) -> Optional[float]:
-        if self.theta.is_zero_n or self.theta.is_infinite_n:
-            return None
-        th = self.theta.theta
-        return self.delta2 * th * th / (1.0 - th)
-
-
 @dataclass
 class FlowResult:
     """Full outcome of one flow run.
@@ -178,12 +151,13 @@ def geodesic_extension_measure(domain, t: float) -> float:
     raise TypeError(type(domain).__name__)
 
 
-def quermassintegrals(body, theta: InverseDimension):
-    """(QuermassTriple, Alexandrov CheckReport) for a strictly convex body.
+def quermassintegrals(body, theta: InverseDimension) -> CheckReport:
+    """Alexandrov check of a strictly convex body's boundary variations.
 
-    The inequality is checked in raw first-variation form
-    delta1^2 >= N/(N-1) delta0 delta2, which at N = n = 2 is exactly the
-    planar isoperimetric inequality P^2 >= 4 pi A.
+    delta0 = mu(K), delta1 = mu(boundary K) and delta2 = int H_mu dmu are
+    the record's params.  The inequality is checked in raw first-variation
+    form delta1^2 >= N/(N-1) delta0 delta2, which at N = n = 2 is exactly
+    the planar isoperimetric inequality P^2 >= 4 pi A.
     """
     geom = boundary_geometry(body)
     if isinstance(body, ConvexPlaneBody):
@@ -194,16 +168,14 @@ def quermassintegrals(body, theta: InverseDimension):
         raise TypeError(type(body).__name__)
     d0 = body.mass()
     d2 = weighted_integral(geom.H_mu, body)
-    triple = QuermassTriple(delta0=d0, delta1=d1, delta2=d2, theta=theta)
     lhs = theta.n_over_n_minus_1 * d0 * d2
     rhs = d1 * d1
     tol = 1e-9 * max(1.0, abs(lhs), abs(rhs))
-    report = from_inequality(
+    return from_inequality(
         "alexandrov-triple", lhs=lhs, rhs=rhs, tolerance=tol,
         params={"body": getattr(body, "label", "body"), "theta": theta.theta,
                 "delta0": d0, "delta1": d1, "delta2": d2},
     )
-    return triple, report
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +353,8 @@ def _renorm(x: np.ndarray) -> np.ndarray:
 # the fixed-step integrator shared by every flow
 
 
+# a breakdown is an outcome the integrator reports, not a warning
+@np.errstate(all="ignore")
 def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
               snapshot_every, project=lambda z: z, reject=None,
               watch=None, aux=()):

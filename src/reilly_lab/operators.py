@@ -83,26 +83,6 @@ class DiscreteOperator:
         off = self.upper * d[:-1] / d[1:]
         return self.diag.copy(), off
 
-    def symmetry_defect(self) -> float:
-        """Max |S - S^T| of the conjugated matrix, relative to its entry scale."""
-        if self.kind == "periodic":
-            s = self.symmetric_form()
-            return float(np.max(np.abs(s - s.T)) / max(1.0, np.max(np.abs(s))))
-        d = self.symmetrizer
-        up = self.upper * d[:-1] / d[1:]
-        lo = self.lower * d[1:] / d[:-1]
-        scale = max(1.0, float(np.max(np.abs(up))))
-        return float(np.max(np.abs(up - lo)) / scale)
-
-    def constant_defect(self) -> float:
-        """Max |L 1| relative to the operator's entry scale (zero for
-        Neumann/periodic assemblies up to roundoff)."""
-        ones = np.ones(self.n)
-        scale = max(1.0, float(np.max(np.abs(self.diag)))
-                    if self.diag is not None
-                    else float(np.max(np.abs(self.dense))))
-        return float(np.max(np.abs(self.apply(ones))) / scale)
-
     def nyquist_mode(self) -> Optional[np.ndarray]:
         """The inert alternating null vector of an even periodic grid."""
         if self.kind != "periodic" or self.n % 2 != 0:

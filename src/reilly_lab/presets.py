@@ -1,4 +1,4 @@
-"""Named models and bodies used by the suites, plus seeded random corpora."""
+"""Named models and bodies, the flow's body specs and seeded corpora."""
 
 from __future__ import annotations
 
@@ -74,11 +74,6 @@ def ellipse_body(a: float = 1.2, b: float = 1.0,
     return plane_body_from_samples(h, label=f"ellipse(a={a:g},b={b:g})")
 
 
-def wavy_body(m: int = DEFAULT_M) -> ConvexPlaneBody:
-    return build_plane_body(TrigPolynomial((1.0, 0.0, 0.3)), m=m,
-                            label="wavy(1+0.3cos2t)")
-
-
 def random_convex_bodies(count: int, seed: int, m: int = DEFAULT_M,
                          degree: int = 8):
     """Seeded strictly convex bodies: h = 1 + eps * p with eps chosen so the
@@ -118,10 +113,10 @@ def flat_ball(n_ambient: int = 2, r_outer: float = 1.0, n_pts: int = 1001):
 
 
 def body_from_spec(spec: str, m: int = DEFAULT_M):
-    """Parse the flow's body specs: disk[:r] | ellipse[:a,b] | wavy | cap[:r].
+    """Parse the flow's body specs: disk[:r] | ellipse[:a,b] | cap[:r].
     A bare name keeps its defaults; else every size, finite and positive."""
     name, _, argtext = spec.partition(":")
-    sizes = {"disk": 1, "ellipse": 2, "wavy": 0, "cap": 1}
+    sizes = {"disk": 1, "ellipse": 2, "cap": 1}
     if name not in sizes:
         raise ConfigError(f"unknown body {name!r}")
     try:
@@ -134,8 +129,6 @@ def body_from_spec(spec: str, m: int = DEFAULT_M):
             return disk_body(m, *args)
         if name == "ellipse":
             return ellipse_body(*args, m=m)
-        if name == "wavy":
-            return wavy_body(m=m)
         return SphereCap(*(args or [math.pi / 3]))
     except (ValueError, ConvexityViolation) as exc:
         raise ConfigError(f"bad body spec {spec!r}: {exc}") from exc

@@ -1,5 +1,6 @@
-"""Integrated Bochner identity with boundary (Reilly formula) and the
-pointwise Gamma_2 inequality, verified on interval models and radial balls.
+"""Integrated Bochner identity with boundary (Reilly formula) on interval
+models and radial balls, and the pointwise Gamma_2 inequality as one
+residual field, gamma2_field, down to the N = 0 (theta = -inf) convention.
 
 Interval boundary convention, used everywhere: at the right endpoint the
 outward normal is +1, u_nu = u'(b) and H_mu = -V'(b); at the left it is
@@ -37,57 +38,26 @@ def cd_margin(model, rho: float, theta: InverseDimension) -> CheckReport:
     )
 
 
-def gamma2_residual(model: IntervalModel, u: np.ndarray, rho: float,
-                    theta: InverseDimension) -> CheckReport:
-    """Pointwise Gamma_2(u) >= rho |grad u|^2 + (1/N)(Lu)^2 on the nodes.
-
-    In one dimension Gamma_2(u) = (u'')^2 + V'' (u')^2.  At theta = -inf
-    the (1/N)(Lu)^2 term follows the -inf * 0 = 0 convention: nodes where
-    Lu vanishes (within 1e-12 of scale, plus the roundoff resolution of
-    the differencing stencils) drop the term, all other nodes are vacuous
-    and excluded from the minimum; their count is recorded.
-    """
-    h = model.h
-    up, upp, lu = _derivatives(model, u)
-    gamma2 = upp**2 + model.ddV * up**2
-    scale = max(1.0, float(np.max(np.abs(lu))), float(np.max(gamma2)))
-    vacuous = 0
-    if theta.is_zero_n:
-        # a discrete "Lu = 0" cannot be resolved below the stencil noise
-        eps = np.finfo(float).eps
-        noise = 128.0 * eps * float(np.max(np.abs(u))) * (
-            1.0 / (h * h) + float(np.max(np.abs(model.dV))) / h)
-        mask = np.abs(lu) <= VACUOUS_LU_FLOOR * scale + noise
-        vacuous = int(np.sum(~mask))
-        bound = rho * up**2
-        field = np.where(mask, gamma2 - bound, math.inf)
-    else:
-        bound = rho * up**2 + theta.theta * lu**2
-        field = gamma2 - bound
-    k = int(np.argmin(field))
-    tol = inequality_tolerance(scale=scale, h=h)
-    return from_inequality(
-        "gamma2-pointwise",
-        lhs=float(bound[k]) if not math.isinf(field[k]) else 0.0,
-        rhs=float(gamma2[k]) if not math.isinf(field[k]) else 0.0,
-        tolerance=tol,
-        params={"rho": rho, "theta": theta.theta, "model": model.label,
-                "n": model.n_pts, "argmin_t": float(model.t[k]),
-                "vacuous_nodes": vacuous,
-                "min_residual": float(np.min(field))},
-    )
-
-
 def gamma2_field(model: IntervalModel, u: np.ndarray, rho: float,
                  theta: InverseDimension) -> np.ndarray:
     """Pointwise residual Gamma_2 - rho |grad u|^2 - (1/N)(Lu)^2.
 
-    At theta = -inf the (1/N)(Lu)^2 term is dropped, i.e. the field is
-    the -inf * 0 = 0 convention form, meaningful where Lu = 0.
+    In one dimension Gamma_2(u) = (u'')^2 + V'' (u')^2.  At theta = -inf
+    the (1/N)(Lu)^2 term follows the -inf * 0 = 0 convention: nodes where
+    Lu vanishes (within VACUOUS_LU_FLOOR of scale, plus the roundoff
+    resolution of the differencing stencils) drop the term, and every
+    other node is vacuous and reads +inf.
     """
     up, upp, lu = _derivatives(model, u)
-    one_over_n = 0.0 if theta.is_zero_n else theta.theta
-    return upp**2 + model.ddV * up**2 - rho * up**2 - one_over_n * lu**2
+    if not theta.is_zero_n:
+        return upp**2 + model.ddV * up**2 - rho * up**2 - theta.theta * lu**2
+    gamma2 = upp**2 + model.ddV * up**2
+    scale = max(1.0, float(np.max(np.abs(lu))), float(np.max(gamma2)))
+    # a discrete "Lu = 0" cannot be resolved below the stencil noise
+    noise = 128.0 * np.finfo(float).eps * float(np.max(np.abs(u))) * (
+        1.0 / (model.h * model.h) + float(np.max(np.abs(model.dV))) / model.h)
+    vanishes = np.abs(lu) <= VACUOUS_LU_FLOOR * scale + noise
+    return np.where(vanishes, gamma2 - rho * up**2, math.inf)
 
 
 def reilly_residual(domain, u: np.ndarray) -> CheckReport:

@@ -381,11 +381,11 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
             cap_extension_series(SphereCap(math.pi / 3), 1.0, 1e-2))),
 
         ("isoperimetric/alexandrov-disk",
-         lambda: quermassintegrals(disk_body(), TH2)[1]),
+         lambda: quermassintegrals(disk_body(), TH2)),
         ("isoperimetric/alexandrov-ellipse",
-         lambda: quermassintegrals(ellipse_body(), TH2)[1]),
+         lambda: quermassintegrals(ellipse_body(), TH2)),
         ("isoperimetric/alexandrov-corpus", lambda: _worst(
-            [quermassintegrals(b, TH2)[1]
+            [quermassintegrals(b, TH2)
              for b in random_convex_bodies(20, seed + 7, m=256)],
             seed=seed + 7)),
         ("isoperimetric/steiner-fit", lambda: from_identity(

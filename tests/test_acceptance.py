@@ -244,7 +244,7 @@ def test_criterion_9_brunn_minkowski_concavity():
     # Alexandrov triple on the 20-body corpus: P^2 >= 4 pi A
     worst = math.inf
     for body in random_convex_bodies(20, seed=777, m=256):
-        _, rep = quermassintegrals(body, TH2)
+        rep = quermassintegrals(body, TH2)
         worst = min(worst, rep.slack)
     alex_ok = worst >= -1e-9
     ok = a_ok and b_ok and c_ok and d_ok and alex_ok

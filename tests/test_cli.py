@@ -275,6 +275,19 @@ def test_first_step_bound_admits_a_finite_fast_flow(capsys):
     assert alive["params"]["death_reason"] == "curvature-floor"
 
 
+@pytest.mark.filterwarnings("error")
+def test_cap_flow_breakdown_is_reported_without_a_warning(capsys):
+    # a_20 = 1e72 passes the first-step bound; a later RK4 stage's geometry
+    # has a zero in speed * kappa, and the tangential term once divided by
+    # it with a RuntimeWarning (exit 3 under -W error)
+    coeffs = ",".join(["1"] + ["0"] * 19 + ["1e72"])
+    assert run_cli(["flow", "--body", "cap:0.5", "--phi-coeffs", coeffs,
+                    "--t-end", "0.01", "--dt", "1e-3", "--m", "64"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    alive = next(c for c in doc["checks"] if c["name"] == "flow-alive")
+    assert alive["params"]["death_reason"] == "nonfinite"
+
+
 def test_flow_weingarten_report(capsys):
     code = run_cli(["flow", "--kind", "weingarten", "--body", "ellipse:1.2,1",
                     "--phi-coeffs", "1", "--t-end", "0.02", "--dt", "2e-4",
@@ -420,10 +433,10 @@ def test_flow_rejects_nonpositive_or_nonfinite_body_size(body, capsys):
 
 
 @pytest.mark.parametrize("body", ["ellipse:1", "ellipse:1,2,3", "disk:1,2",
-                                  "cap:0.5,1", "wavy:1"])
+                                  "cap:0.5,1"])
 def test_flow_refuses_a_wrong_number_of_body_sizes(body, capsys):
-    # these once ran as ellipse(1, 1.2), ellipse(1, 2), disk(1), cap(0.5)
-    # and wavy, filling in or dropping sizes without a word
+    # these once ran as ellipse(1, 1.2), ellipse(1, 2), disk(1) and
+    # cap(0.5), filling in or dropping sizes without a word
     assert run_cli(["flow", "--kind", "parallel-normal", "--body", body,
                     "--m", "32", "--t-end", "0.01", "--dt", "1e-3"]) == 2
     _config_error(capsys, f"bad body spec {body!r}")
@@ -758,8 +771,10 @@ def test_sweep_lichnerowicz_unresolvable_rho_and_n_name_both(text, tmp_path,
     assert err.startswith("config error: rho = ") and " at N = " in err, err
 
 
-@pytest.mark.parametrize("spec", ["sphere", "sphere:2", "spheroid:1,1.2"])
+@pytest.mark.parametrize("spec", ["sphere", "sphere:2", "spheroid:1,1.2",
+                                  "wavy"])
 def test_flow_refuses_revolution_body_specs(spec, capsys):
+    # nor is wavy a body
     assert run_cli(["flow", "--body", spec]) == 2
     _config_error(capsys, "unknown body")
 

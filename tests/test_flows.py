@@ -19,13 +19,17 @@ from reilly_lab.flows import (ConcavitySeries, _crossing_sweep,
                               quermassintegrals, self_intersects,
                               steiner_fit_residual, weingarten_wave)
 from reilly_lab.numerics import spectral_diff
-from reilly_lab.presets import (disk_body, ellipse_body, random_convex_bodies,
-                                wavy_body)
+from reilly_lab.presets import disk_body, ellipse_body, random_convex_bodies
 from reilly_lab.reporting import flow_csv
 from reilly_lab.trig import TrigPolynomial
 
 TH2 = InverseDimension(0.5, 2)
 TH_INF = InverseDimension(0.0, 1)
+
+
+def wavy_body(m=512):
+    return build_plane_body(TrigPolynomial((1.0, 0.0, 0.3)), m=m,
+                            label="wavy(1+0.3cos2t)")
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +81,12 @@ def test_extension_area_matches_polygon_oracle():
 
 
 def test_quermass_triple_disk():
-    triple, report = quermassintegrals(disk_body(), TH2)
-    assert triple.w_n == pytest.approx(math.pi, abs=1e-10)
-    assert triple.w_n_minus_1 == pytest.approx(math.pi, abs=1e-10)
-    assert triple.w_n_minus_2 == pytest.approx(math.pi, abs=1e-10)
+    # delta0 = pi, and delta1 = delta2 = 2 pi: the unit circle's length and
+    # its total curvature
+    report = quermassintegrals(disk_body(), TH2)
+    assert report.params["delta0"] == pytest.approx(math.pi, abs=1e-10)
+    assert report.params["delta1"] == pytest.approx(2 * math.pi, abs=1e-10)
+    assert report.params["delta2"] == pytest.approx(2 * math.pi, abs=1e-10)
     assert abs(report.slack) <= 1e-9
     assert report.passed
 
@@ -91,7 +97,7 @@ def test_quermass_triple_disk():
 def test_alexandrov_revolution_bodies(body, equality):
     # N = n = 3: delta1^2 >= (3/2) delta0 delta2, with equality on the
     # round sphere, where both sides read (4 pi)^2
-    _, report = quermassintegrals(body, InverseDimension(1.0 / 3.0, 3))
+    report = quermassintegrals(body, InverseDimension(1.0 / 3.0, 3))
     assert report.passed
     if equality:
         assert report.rhs == pytest.approx(16 * math.pi**2, rel=1e-10)
@@ -102,7 +108,7 @@ def test_alexandrov_revolution_bodies(body, equality):
 
 def test_alexandrov_corpus():
     for body in random_convex_bodies(20, seed=31, m=256):
-        _, report = quermassintegrals(body, TH2)
+        report = quermassintegrals(body, TH2)
         assert report.slack >= -1e-9
         # N = n = 2 specialization is the planar isoperimetric inequality
         assert report.rhs == pytest.approx(body.perimeter() ** 2, rel=1e-12)

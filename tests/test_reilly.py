@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from reilly_lab.checks import inequality_tolerance
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import NonRadialInput
 from reilly_lab.models import build_gaussian_interval, build_model_density
 from reilly_lab.presets import flat_ball, model_density_params
-from reilly_lab.reilly import (cd_margin, gamma2_field, gamma2_residual,
-                               reilly_convergence, reilly_residual)
+from reilly_lab.reilly import (cd_margin, gamma2_field, reilly_convergence,
+                               reilly_residual)
 
 TH_INF = InverseDimension(0.0, 1)
 TH5 = InverseDimension.from_n(5.0)
@@ -45,9 +46,8 @@ def test_cd_margin_radial_ball():
 
 def test_gamma2_gaussian_linear_function():
     model = build_gaussian_interval(1.0, 6.0, 2001)
-    rep = gamma2_residual(model, model.t.copy(), 1.0, TH_INF)
-    assert rep.passed
-    assert abs(rep.params["min_residual"]) <= 1e-10
+    field = gamma2_field(model, model.t.copy(), 1.0, TH_INF)
+    assert abs(np.min(field)) <= 1e-10
 
 
 def test_gamma2_gaussian_quadratic_field():
@@ -64,12 +64,18 @@ def test_gamma2_zero_n_convention():
     model = build_interval_model(0.0, 1.0, 101,
                                  V=lambda t: np.zeros_like(t))
     th0 = InverseDimension(-math.inf, 1)
-    rep = gamma2_residual(model, model.t.copy(), 0.0, th0)
-    assert rep.passed
-    assert rep.params["vacuous_nodes"] == 0
-    # and with Lu != 0 everywhere the nodes are vacuous
-    rep2 = gamma2_residual(model, model.t**2, 0.0, th0)
-    assert rep2.params["vacuous_nodes"] > 0
+    field = gamma2_field(model, model.t.copy(), 0.0, th0)
+    assert np.min(field) >= -inequality_tolerance(scale=1.0, h=model.h)
+    assert not np.isinf(field).any()
+    # and with Lu != 0 everywhere the nodes are vacuous and read +inf
+    field2 = gamma2_field(model, model.t**2, 0.0, th0)
+    assert (field2 == math.inf).any()
+    # on the Gaussian, u = t has Lu = -t: only the node t = 0 is not
+    # vacuous, and there Gamma_2 = V'' |u'|^2 = rho |u'|^2 exactly
+    gauss = build_gaussian_interval(1.0, 6.0, 801)
+    field3 = gamma2_field(gauss, gauss.t.copy(), 1.0, th0)
+    assert int(np.sum(field3 == math.inf)) == 800
+    assert np.min(field3) == 0.0 and field3[400] == 0.0
 
 
 def test_gamma2_model_equality_case():

@@ -14,8 +14,8 @@ The lines are:
   trajectory CSV that ``reporting.flow_csv`` writes from the states.
   Arrays are digested through their raw bytes, scalars through ``repr``;
 * with ``--suite all`` (the default) also ``lib <call> <sha>`` for
-  library calls that no verify suite makes (the Gamma_2 residual at
-  N = 5 and N = 0, the Reilly residual, dimensional Brascamp-Lieb and CD
+  library calls that no verify suite makes (the Gamma_2 residual field
+  at N = 5 and N = 0, the Reilly residual, dimensional Brascamp-Lieb and CD
   margin on radial balls, the spheroid's boundary gap and spectrum):
   check reports as their JSON record, arrays through their raw bytes,
   anything else through ``repr``; and the command line's own bytes:
@@ -62,7 +62,7 @@ from reilly_lab.operators import (assemble_laplacian, boundary_gap_revolution,
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
                                 gaussian_ball, gaussian_half_model,
                                 gaussian_model, model_density_params)
-from reilly_lab.reilly import cd_margin, gamma2_residual, reilly_residual
+from reilly_lab.reilly import cd_margin, gamma2_field, reilly_residual
 from reilly_lab.reporting import check_to_json, flow_csv
 from reilly_lab.trig import TrigPolynomial
 
@@ -163,10 +163,10 @@ def library_results():
     signatures that every version of the library since the flow digests
     accepts."""
     model = build_model_density(model_density_params(1.0, 5.0), 801)
-    yield "gamma2-residual-n5", gamma2_residual(
+    yield "gamma2-field-n5", gamma2_field(
         model, np.sin(0.5 * model.t), 1.0, InverseDimension.from_n(5.0))
     gauss = gaussian_model(801)
-    yield "gamma2-residual-n0", gamma2_residual(
+    yield "gamma2-field-n0", gamma2_field(
         gauss, gauss.t.copy(), 1.0, InverseDimension.from_n(0.0))
     flat = flat_ball(2, 1.0, 401)
     yield "reilly-residual-ball", reilly_residual(flat, flat.r**2)
