@@ -209,7 +209,7 @@ class RevolutionBody3D:
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Not-a-knot spline through (x, y): coefficients c[k, i] of (x - x[i])^(3-k)
     in the operation order of scipy 1.17's CubicSpline, so bitwise its c."""
-    from scipy.linalg import solve_banded
+    from ._lapack import _gtsv
     dx = np.diff(x)
     slope = np.diff(y) / dx
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
@@ -219,7 +219,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     b = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0,
               3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
               (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
-    s = solve_banded((1, 1), A, b, check_finite=False)
+    s = _gtsv(A[2, :-1], A[1], A[0, 1:], b, check_finite=False)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 

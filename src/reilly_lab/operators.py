@@ -17,6 +17,9 @@ as well as constants, so the factored operator carries one inert extra
 null mode.  That mode is an exact, known vector; eigensolves shift it
 out of the low spectrum and the singular Poisson solve removes it by
 minimal-norm least squares.
+
+Eigensolves and tridiagonal solves call LAPACK through ``_lapack`` with
+scipy.linalg's argument sequences and input checks, never importing it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .bodies import ConvexPlaneBody, RevolutionBody3D
 from .errors import ConvergenceFailure, SingularSystem
@@ -202,23 +204,36 @@ def _check_count(op: DiscreteOperator, count: int, spare: int = 0) -> None:
 def _eigh(op: DiscreteOperator, last: int, vectors: bool = False):
     """Eigenvalues 0..last of -S, S the symmetric form of L (Dirichlet:
     interior nodes only), ascending; with `vectors`, also the eigenvectors
-    of -S as columns."""
-    from scipy.linalg import eigh, eigh_tridiagonal
-    try:
-        if op.kind == "periodic":
-            # the deflated alternating mode sits at the top of -S, never
-            # inside the leading subset
-            s = op.deflated_symmetric()          # a fresh matrix of ours
-            np.negative(s, out=s)
-            return eigh(s, eigvals_only=not vectors,
-                        subset_by_index=[0, last])
-        diag, off = op.symmetric_form()
+    of -S as columns: scipy 1.17's eigh(subset_by_index=...) and
+    eigh_tridiagonal(select="i"), call for call."""
+    from ._lapack import _finite, flapack
+    if op.kind == "periodic":
+        # the deflated alternating mode sits at the top of -S, never
+        # inside the leading subset
+        s = op.deflated_symmetric()          # a fresh matrix of ours
+        np.negative(s, out=s)
+        _finite(s)
+        lwork, liwork, _ = flapack.dsyevr_lwork(op.n, lower=1)
+        w, v, m, _, info = flapack.dsyevr(
+            s, compute_v=int(vectors), range="I", lower=1, il=1, iu=last + 1,
+            lwork=int(lwork), liwork=int(liwork))
+        w, v = w[:m], v[:, :m]
+    else:
+        d, e = op.symmetric_form()
         if op.bc == DIRICHLET:
-            diag, off = diag[1:-1], off[1:-1]
-        return eigh_tridiagonal(-diag, -off, eigvals_only=not vectors,
-                                select="i", select_range=(0, last))
-    except LinAlgError as exc:  # pragma: no cover - grid pathology
-        raise ConvergenceFailure(f"eigensolve failed on {op.model_ref}") from exc
+            d, e = d[1:-1], e[1:-1]
+        d, e = -d, -e
+        _finite(d, e)
+        m, w, iblock, isplit, info = flapack.dstebz(
+            d, e, 2, 0.0, 1.0, 1, last + 1, 0.0, "B" if vectors else "E")
+        w = w[:m]
+        if vectors and not info:
+            v, info = flapack.dstein(d, e, w, iblock, isplit)
+            order = np.argsort(w, kind="stable")     # block to matrix order
+            w, v = w[order], v[:, order]
+    if info:  # pragma: no cover - grid pathology
+        raise ConvergenceFailure(f"eigensolve failed on {op.model_ref}")
+    return (w, v) if vectors else w
 
 
 def spectral_gap(op: DiscreteOperator):
@@ -262,7 +277,7 @@ def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
     Raises SingularSystem when the compatibility defect exceeds 1e-6
     relative, which signals a caller bug rather than roundoff.
     """
-    from scipy.linalg import solve_banded
+    from ._lapack import _gtsv
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ValueError("f must match the operator's grid")
@@ -272,11 +287,7 @@ def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
         rhs = f[1:-1].copy()
         rhs[0] -= op.lower[0] * ua
         rhs[-1] -= op.upper[-1] * ub
-        ab = np.zeros((3, op.n - 2))
-        ab[0, 1:] = op.upper[1:-1]
-        ab[1, :] = op.diag[1:-1]
-        ab[2, :-1] = op.lower[1:-1]
-        inner = solve_banded((1, 1), ab, rhs)
+        inner = _gtsv(op.lower[1:-1], op.diag[1:-1], op.upper[1:-1], rhs)
         u = np.concatenate([[ua], inner, [ub]])
         resid = float(np.max(np.abs(op.apply(u)[1:-1] - f[1:-1])))
         info["residual"] = resid
@@ -298,16 +309,10 @@ def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
         # minimal-norm least-squares solution zeroes both components
         u, *_ = np.linalg.lstsq(op.dense, fproj, rcond=None)
     else:
-        ab = np.zeros((3, op.n))
-        ab[0, 1:] = op.upper
-        ab[1, :] = op.diag
-        ab[2, :-1] = op.lower
         # pin the first unknown to lift the constant null space
-        ab[0, 1] = 0.0
-        ab[1, 0] = 1.0
-        rhs = fproj.copy()
-        rhs[0] = 0.0
-        u = solve_banded((1, 1), ab, rhs)
+        diag, upper, rhs = op.diag.copy(), op.upper.copy(), fproj.copy()
+        diag[0], upper[0], rhs[0] = 1.0, 0.0, 0.0
+        u = _gtsv(op.lower, diag, upper, rhs)
     u = u - float(np.dot(op.weights, u)) / mass
     resid = op.apply(u) - fproj
     if op.kind == "periodic":

@@ -66,7 +66,7 @@ SUITE_NAMES = ("reilly", "bln", "spectral", "colesanti", "boundary", "flows",
 REILLY_RESOLUTIONS = (251, 501, 1001)
 
 # the catalogue's lazy imports, loaded before forking so workers share them
-FORK_PRELOAD = ("scipy.linalg",)
+FORK_PRELOAD = ("reilly_lab._lapack",)
 
 TH_INF = InverseDimension(0.0, 1)
 TH2 = InverseDimension(0.5, 2)

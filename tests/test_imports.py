@@ -1,4 +1,5 @@
-"""The package and the flows load numpy only; scipy loads on first use.
+"""The package and the flows load numpy only; scipy's LAPACK extension
+loads on first use, and no scipy subpackage ever does.
 
 Each probe runs in a fresh interpreter, so modules imported by other tests
 cannot mask a module-level scipy import.  No module of the package imports
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 _SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
                   "if m.split('.')[0] == 'scipy'))")
@@ -43,18 +45,30 @@ def test_flows_through_the_cli_load_no_scipy():
         == "[]"
 
 
-def test_verify_all_loads_only_scipy_linalg(tmp_path):
-    # the spheroid's splines and the sharpness quadrature run on numpy and
+def test_verify_all_loads_no_scipy_linalg(tmp_path):
+    # the eigensolves and tridiagonal solves reach LAPACK through
+    # reilly_lab._lapack, which loads scipy's extension without importing
     # scipy.linalg; none of the subpackages that scipy.integrate and
-    # scipy.interpolate pull in may load
-    out = str(tmp_path / "report.json")
-    call = (f"assert cli.main(['verify', '--suite', 'all', '--workers', '1', "
-            f"'--out', {out!r}]) == 0")
-    loaded = _scipy_modules_after(f"import reilly_lab.cli as cli\n{call}")
-    for name in ("scipy.integrate", "scipy.interpolate", "scipy.sparse",
-                 "scipy.optimize", "scipy.spatial"):
-        assert f"'{name}'" not in loaded
-    assert "'scipy.linalg'" in loaded
+    # scipy.interpolate pull in may load either, at either worker count
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"report-{workers}.json")
+        call = (f"assert cli.main(['verify', '--suite', 'all', '--workers', "
+                f"{workers!r}, '--out', {out!r}]) == 0")
+        loaded = _scipy_modules_after(f"import reilly_lab.cli as cli\n{call}")
+        for name in ("scipy.linalg", "scipy.integrate", "scipy.interpolate",
+                     "scipy.sparse", "scipy.optimize", "scipy.spatial"):
+            assert f"'{name}'" not in loaded
+
+
+def test_spectra_ops_load_no_scipy_linalg(tmp_path):
+    # one pass of the benchmark's seed-0 spectra operations, run as its
+    # child interpreter runs them
+    code = (f"sys.path.insert(0, {PERFBENCH!r})\n"
+            "import child, workloads\n"
+            "ops = workloads.generate('spectra', 0)\n"
+            f"records = child.run_pass(ops, {str(tmp_path)!r})[2]\n"
+            "assert [r['exit'] for r in records] == [0] * len(ops)")
+    assert "'scipy.linalg'" not in _scipy_modules_after(code)
 
 
 def _unused_imports(source: str):

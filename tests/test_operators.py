@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -273,3 +274,37 @@ def test_eigenvalues_rejects_count_outside_grid(op):
     for count in (0, op.n + 1):
         with pytest.raises(ValueError, match="count"):
             eigenvalues(op, count)
+
+
+def _with_nan_on_diagonal(op):
+    if op.kind == "periodic":
+        dense = op.dense.copy()
+        dense[3, 3] = np.nan
+        return dataclasses.replace(op, dense=dense)
+    diag = op.diag.copy()
+    diag[3] = np.nan
+    return dataclasses.replace(op, diag=diag)
+
+
+@pytest.mark.parametrize("op", [
+    assemble_laplacian(flat_interval(0.0, 1.0, 64), NEUMANN),
+    assemble_laplacian(flat_interval(0.0, 1.0, 64), DIRICHLET),
+    assemble_laplacian(ellipse_body(1.5, 1.0, 64), PERIODIC),
+], ids=["neumann", "dirichlet", "periodic"])
+def test_a_nan_operator_is_refused_as_a_value_error(op):
+    # a ValueError (or ConvergenceFailure) is what the sweep's refusal path
+    # turns into a configuration error, exit 2; a NaN must never come back
+    # as an eigenpair or a solution
+    bad = _with_nan_on_diagonal(op)
+    finite = "array must not contain infs or NaNs"
+    with pytest.raises(ValueError, match=finite):
+        spectral_gap(bad)
+    with pytest.raises(ValueError, match=finite):
+        eigenvalues(bad, 3)
+    f = np.cos(np.arange(op.n))
+    f -= np.dot(op.weights, f) / np.sum(op.weights)
+    # the dense periodic solve is numpy's lstsq, whose LinAlgError is a
+    # ValueError
+    with pytest.raises(ValueError,
+                       match=None if op.kind == "periodic" else finite):
+        solve_poisson(bad, f)
