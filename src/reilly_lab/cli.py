@@ -42,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-scale", dest="tol_scale",
                         help="multiply every tolerance by this factor")
     common.add_argument("--workers",
-                        help="processes that run the checks; reports do "
-                             "not depend on it (default 1 or "
-                             "REILLY_LAB_WORKERS)")
+                        help="processes that run verify's checks; flow "
+                             "and sweep validate it and run in one "
+                             "process; reports do not depend on it "
+                             "(default 1 or REILLY_LAB_WORKERS)")
     common.add_argument("--seed", help="corpus seed (default 1234)")
 
     p_verify = sub.add_parser("verify", parents=[common],

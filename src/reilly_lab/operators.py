@@ -277,7 +277,7 @@ def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
     Raises SingularSystem when the compatibility defect exceeds 1e-6
     relative, which signals a caller bug rather than roundoff.
     """
-    from ._lapack import _gtsv
+    from ._lapack import _finite, _gtsv
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ValueError("f must match the operator's grid")
@@ -306,7 +306,9 @@ def solve_poisson(op: DiscreteOperator, f: np.ndarray, bc_data=None):
     info["projection"] = abs(defect)
     if op.kind == "periodic":
         # kernel holds constants plus (even m) the alternating mode; the
-        # minimal-norm least-squares solution zeroes both components
+        # minimal-norm least-squares solution zeroes both components;
+        # lstsq does not refuse a NaN, and LAPACK prints to fd 1 on one
+        _finite(op.dense, fproj)
         u, *_ = np.linalg.lstsq(op.dense, fproj, rcond=None)
     else:
         # pin the first unknown to lift the constant null space

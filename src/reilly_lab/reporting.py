@@ -8,7 +8,10 @@ bare tokens).
 
 A trajectory CSV is written to its handle state by state
 (``write_flow_csv``), so ``flow --out`` never holds the whole file as
-text; ``flow_csv`` builds the same bytes as one str.
+text; ``flow_csv`` builds the same bytes as one str.  The marker index
+and a speed column that repeats the previous state's bit for bit (a
+parallel normal flow's phi) are rendered once per flow, not once per
+state; the bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -112,22 +115,53 @@ def sweep_csv(param: str, values: List[str],
     return "\n".join(lines) + "\n"
 
 
+def _row_templates(m: int, dim: int, phi=None) -> List[str]:
+    """A state's m row templates after its time: the marker index as
+    literal text (what "%d" % float(i) prints), "%.17g" for every other
+    field and, given phi, phi's text baked in; the last row ends the line.
+    Baked text must hold no "%", and format(x, ".17g") never prints one."""
+    xyz = ",%.17g" * dim
+    if phi is None:
+        rows = [f"{i}{xyz},%.17g,%.17g{xyz}" for i in range(m)]
+    else:
+        rows = [f"{i}{xyz},{p:.17g},%.17g{xyz}"
+                for i, p in enumerate(phi.tolist())]
+    rows[-1] += "\n"
+    return rows
+
+
 def write_flow_csv(handle, states) -> None:
     """Trajectory dump to an open text handle, one state's rows per write:
-    t, marker index, coordinates, speed, curvature, normal."""
+    t, marker index, coordinates, speed, curvature, normal.
+
+    The index text is rendered once per run of states of one shape, and
+    a speed column that repeats the previous state's bit for bit (a
+    parallel normal flow's phi) once until it changes."""
     handle.write("t,idx,x,y,phi,kappa,nux,nuy\n"
                  if states[0].points.shape[1] == 2
                  else "t,idx,x,y,z,phi,kappa,nux,nuy,nuz\n")
+    shape = last_phi = baked_phi = None
     for state in states:
-        m = state.points.shape[0]
-        # the row index rides along as a float column: "%d" % 3.0 == "3"
-        cols = np.column_stack([np.arange(m, dtype=float), state.points,
-                                state.phi, state.kappa, state.normals])
-        # "%.17g" % x is format(x, ".17g") for every Python float
-        row = format(state.t, ".17g") + ",%d," + ",".join(
-            ["%.17g"] * (cols.shape[1] - 1))
-        handle.write("\n".join([row] * m) % tuple(cols.ravel().tolist()))
-        handle.write("\n")
+        if state.points.shape != shape:
+            shape, baked_phi = state.points.shape, None
+            plain = _row_templates(*shape)
+        phi = np.asarray(state.phi, dtype=float)
+        # bytes, not np.array_equal: -0.0 must not stand for 0.0, and a
+        # NaN repeated bit for bit is a repeat
+        key = phi.tobytes()
+        if key == last_phi:
+            if key != baked_phi:
+                baked, baked_phi = _row_templates(*shape, phi), key
+            rows, cols = baked, (state.points, state.kappa, state.normals)
+        else:
+            rows = plain
+            cols = (state.points, phi, state.kappa, state.normals)
+        last_phi = key
+        # "%.17g" % x is format(x, ".17g") for every Python float, and
+        # neither prints a "%", so t's text is safe in the template
+        t = format(state.t, ".17g") + ","
+        handle.write((t + ("\n" + t).join(rows))
+                     % tuple(np.column_stack(cols).ravel().tolist()))
 
 
 def flow_csv(states) -> str:

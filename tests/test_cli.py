@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -394,6 +395,42 @@ def test_flow_csv_matches_per_cell_format():
                         alive=False)
         states = states + [odd]
         assert flow_csv(states) == _flow_csv_per_cell(states)
+
+
+def test_flow_csv_bakes_only_a_bitwise_repeated_speed():
+    from reilly_lab.reporting import flow_csv
+    plane, cap, wave = (_library_flow(*flow).states
+                        for flow in _STREAMED_FLOWS)
+    # a parallel normal flow repeats phi in every state; the wave never does
+    for states, repeats in ((plane, True), (cap, True), (wave, False)):
+        keys = {s.phi.tobytes() for s in states}
+        assert len(keys) == (1 if repeats else len(states))
+        assert flow_csv(states) == _flow_csv_per_cell(states)
+
+    def with_phi(state, phi):
+        return dataclasses.replace(state, phi=np.asarray(phi))
+
+    phi = plane[0].phi
+    neg_zero, pos_zero, nan = phi.copy(), phi.copy(), phi.copy()
+    neg_zero[5], pos_zero[5], nan[7] = -0.0, 0.0, np.nan
+    small = _library_flow("parallel-normal", "ellipse:1.3,1", "1,0,0.3",
+                          "32", "0.02", "1e-3").states
+    cases = {
+        # equal under np.array_equal, not bit for bit: -0 must stay "-0"
+        "zero-sign": [with_phi(s, p) for s, p in zip(
+            plane, (neg_zero, neg_zero, pos_zero, pos_zero, neg_zero))],
+        "nan": [with_phi(s, nan) for s in plane[:3]],
+        "death": plane[:2] + [dataclasses.replace(plane[2], alive=False)]
+        + plane[3:],
+        "m-change": plane[:3] + small + plane[3:],
+        # one m, another dimension, the same phi bytes
+        "dim-change": plane[:2] + [with_phi(s, phi) for s in cap[:2]],
+    }
+    for name, states in cases.items():
+        assert flow_csv(states) == _flow_csv_per_cell(states), name
+    text = flow_csv(cases["zero-sign"]).split("\n")
+    assert [row.split(",")[4] for row in text[6::64]] == [
+        "-0", "-0", "0", "0", "-0"]
 
 
 def test_emit_report_empty_and_number_format():

@@ -51,3 +51,43 @@ def test_model_density_at_n_1_25_is_not_refused():
     model = build_model_density(model_density_params(1.0, 1.25), 201)
     report = check_lichnerowicz(model, 1.0, InverseDimension.from_n(1.25))
     assert report.passed
+
+
+def _sweep_exit_and_err(tmp_path, capsys, text):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    code = cli.main(["sweep", "--config", str(cfg)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5(a): tier-1's 8 RuntimeWarnings; at N = -2 the "
+    "profile's cosh and sinh overflow, and so does build_model_density's "
+    "ddV = -(N-1)(R'' R - R'^2)/R^2, so under warnings as errors "
+    "`[sweep] check = sharpness, N = -2, beta_trunc = 1e300` exits 3 "
+    "with `internal error: RuntimeWarning: overflow encountered in cosh` "
+    "instead of its config error"))
+def test_sharpness_sweep_at_beta_trunc_1e300_refuses_without_a_warning(
+        tmp_path, capsys):
+    code, err = _sweep_exit_and_err(tmp_path, capsys, (
+        "[sweep]\ncheck = sharpness\nparam = beta_trunc\nvalues = 1e300\n"
+        "N = -2\n"))
+    assert code == 2, err
+    assert err.startswith("config error: beta_trunc = ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5(a): tier-1's 8 RuntimeWarnings; at N = -2, rho = 1e4 "
+    "build_model_density's ddV = -(N-1)(R'' R - R'^2)/R^2 overflows, so "
+    "under warnings as errors the Lichnerowicz sweep exits 3 with "
+    "`internal error: RuntimeWarning: overflow encountered in multiply` "
+    "instead of its config error"))
+def test_lichnerowicz_sweep_at_n_minus_2_rho_1e4_refuses_without_a_warning(
+        tmp_path, capsys):
+    code, err = _sweep_exit_and_err(tmp_path, capsys, (
+        "[sweep]\ncheck = lichnerowicz\nparam = n_pts\nvalues = 201\n"
+        "N = -2\nrho = 1e4\n"))
+    assert code == 2, err
+    assert err.startswith("config error: rho = ")

@@ -308,3 +308,15 @@ def test_a_nan_operator_is_refused_as_a_value_error(op):
     with pytest.raises(ValueError,
                        match=None if op.kind == "periodic" else finite):
         solve_poisson(bad, f)
+
+
+def test_a_nan_periodic_poisson_is_refused_before_lapack_prints(capfd):
+    # lstsq on a NaN matrix once let LAPACK print " ** On entry to DLASCL"
+    # to fd 1, past any sys.stdout redirection, and raise LinAlgError
+    bad = _with_nan_on_diagonal(
+        assemble_laplacian(ellipse_body(1.5, 1.0, 64), PERIODIC))
+    f = np.cos(np.arange(bad.n))
+    f -= np.dot(bad.weights, f) / np.sum(bad.weights)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        solve_poisson(bad, f)
+    assert capfd.readouterr().out == ""
