@@ -232,7 +232,7 @@ def check_lichnerowicz(model: IntervalModel, rho: float,
         raise CurvatureNotPositive(
             f"CD({rho:g}, N) fails: min Ric = {margin:.6g} on {model.label}"
         )
-    lam, _ = spectral_gap(assemble_laplacian(model, bc))
+    lam = spectral_gap(assemble_laplacian(model, bc))
     lhs = theta.n_over_n_minus_1 * rho
     tol = inequality_tolerance(scale=max(1.0, abs(lhs)), h=model.h)
     return from_inequality(
@@ -257,7 +257,7 @@ def check_veysseire(model: IntervalModel) -> CheckReport:
     if np.min(model.ddV - rho) < -1e-10:
         raise CurvatureNotPositive("rho_field is not a lower bound for Ric_mu")
     lhs = model.mass() / weighted_integral(1.0 / rho, model)
-    lam, _ = spectral_gap(assemble_laplacian(model, NEUMANN))
+    lam = spectral_gap(assemble_laplacian(model, NEUMANN))
     tol = inequality_tolerance(scale=max(1.0, abs(lhs)), h=model.h)
     return from_inequality(
         "veysseire", lhs=lhs, rhs=lam, tolerance=tol,
@@ -411,7 +411,7 @@ def check_boundary_gaps(body):
     """
     geom = boundary_geometry(body)
     if isinstance(body, ConvexPlaneBody):
-        lam, _ = spectral_gap(assemble_laplacian(body, PERIODIC))
+        lam = spectral_gap(assemble_laplacian(body, PERIODIC))
         mode = None
         grid_h = None                      # spectral curve operator
     elif isinstance(body, RevolutionBody3D):

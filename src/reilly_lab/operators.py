@@ -12,11 +12,11 @@ curves use the trigonometric differentiation matrix D in the factored
 form diag(1/r) D diag(1/r) D, which is exactly symmetrizable because D
 is antisymmetric.
 
-On an even periodic grid D annihilates the alternating (Nyquist) vector
-as well as constants, so the factored operator carries one inert extra
-null mode.  That mode is an exact, known vector; eigensolves shift it
-out of the low spectrum and the singular Poisson solve removes it by
-minimal-norm least squares.
+Periodic grids are even, and there D annihilates the alternating
+(Nyquist) vector as well as constants, so the factored operator carries
+one inert extra null mode.  That mode is an exact, known vector;
+eigensolves shift it out of the low spectrum and the singular Poisson
+solve removes it by minimal-norm least squares.
 
 Eigensolves and tridiagonal solves call LAPACK through ``_lapack`` with
 scipy.linalg's argument sequences and input checks, never importing it.
@@ -85,25 +85,18 @@ class DiscreteOperator:
         off = self.upper * d[:-1] / d[1:]
         return self.diag.copy(), off
 
-    def nyquist_mode(self) -> Optional[np.ndarray]:
-        """The inert alternating null vector of an even periodic grid."""
-        if self.kind != "periodic" or self.n % 2 != 0:
-            return None
-        saw = np.ones(self.n)
-        saw[1::2] = -1.0
-        return saw
-
     def deflated_symmetric(self) -> np.ndarray:
-        """Symmetric form with the alternating null mode shifted far negative.
+        """Periodic symmetric form with the alternating null mode shifted
+        far negative.
 
-        The shift is exact because the mode is an exact null vector of L,
-        so the remaining spectrum moves only at roundoff level.
+        Every periodic grid is even (plane bodies and fourier_diff_matrix
+        refuse an odd m), so the alternating vector is an exact null vector
+        of L; the shift is exact and the remaining spectrum moves only at
+        roundoff level.
         """
         s = self.symmetric_form()
-        saw = self.nyquist_mode()
-        if saw is None:
-            return s
-        q = self.symmetrizer * saw
+        q = self.symmetrizer.copy()
+        q[1::2] *= -1.0
         q = q / np.linalg.norm(q)
         # just above the spectral radius: large enough to clear the low
         # spectrum, small enough not to degrade eigh's absolute accuracy
@@ -160,38 +153,34 @@ def assemble_laplacian(model, bc: str) -> DiscreteOperator:
             symmetrizer=np.sqrt(weights), model_ref=model.label, dense=dense,
         )
     if isinstance(model, RevolutionBody3D):
-        ops = _revolution_mode_operators(model, m_max=0)
-        return ops[0]
+        return next(_revolution_mode_operators(model))
     raise TypeError(f"cannot assemble a Laplacian for {type(model).__name__}")
 
 
-def _revolution_mode_operators(body: RevolutionBody3D, m_max: int):
-    """Sturm-Liouville operators of the boundary Laplacian per azimuthal mode.
+def _revolution_mode_operators(body: RevolutionBody3D):
+    """Sturm-Liouville operators of the boundary Laplacian per azimuthal
+    mode 0..AZIMUTHAL_MODES, each built when it is drawn.
 
     Unknowns sit at the cell centers of the profile grid (never at the
     poles); the face fluxes r vanish at the poles, which is the natural
     regularity condition.
     """
     h = body.h
-    n = body.n_cells
     flux = body.r                                # at faces; zero at poles
     r_center = 0.5 * (body.r[:-1] + body.r[1:])
     w_center = h * 0.5 * (flux[:-1] + flux[1:])  # cell measure density wrt ds
-    ops = []
-    for mode in range(m_max + 1):
-        lower = flux[1:-1] / h / w_center[1:]
-        upper = flux[1:-1] / h / w_center[:-1]
-        diag = -(flux[:-1] + flux[1:]) / h / w_center
-        if mode > 0:
-            diag = diag - (mode * mode) / r_center**2
-        ops.append(DiscreteOperator(
-            kind="tridiagonal", bc=NEUMANN, n=n,
-            weights=2.0 * math.pi * w_center,
-            symmetrizer=np.sqrt(2.0 * math.pi * w_center),
-            model_ref=f"{body.label}/mode{mode}",
+    lower = flux[1:-1] / h / w_center[1:]
+    upper = flux[1:-1] / h / w_center[:-1]
+    diag0 = -(flux[:-1] + flux[1:]) / h / w_center
+    weights = 2.0 * math.pi * w_center
+    symmetrizer = np.sqrt(weights)
+    for mode in range(AZIMUTHAL_MODES + 1):
+        diag = diag0 - (mode * mode) / r_center**2 if mode else diag0
+        yield DiscreteOperator(
+            kind="tridiagonal", bc=NEUMANN, n=body.n_cells, weights=weights,
+            symmetrizer=symmetrizer, model_ref=f"{body.label}/mode{mode}",
             lower=lower, diag=diag, upper=upper,
-        ))
-    return ops
+        )
 
 
 def _check_count(op: DiscreteOperator, count: int, spare: int = 0) -> None:
@@ -236,27 +225,16 @@ def _eigh(op: DiscreteOperator, last: int, vectors: bool = False):
     return (w, v) if vectors else w
 
 
-def spectral_gap(op: DiscreteOperator):
-    """Smallest positive eigenvalue of -L and its eigenvector.
+def spectral_gap(op: DiscreteOperator) -> float:
+    """Smallest positive eigenvalue of -L.
 
     Neumann and periodic operators have an exact zero mode (constants);
     the gap is the next eigenvalue.  Dirichlet operators restrict to the
-    interior nodes first.  Only the eigenpairs 0 and 1 are computed.
-    The eigenvector is normalized in the weighted norm and returned on
-    the full grid.
+    interior nodes first.  Only the eigenvalues 0 and 1 are computed, and
+    no eigenvector: no caller reads one.
     """
     _check_count(op, 1, spare=1)
-    vals, vecs = _eigh(op, 1, vectors=True)
-    idx = 0 if op.bc == DIRICHLET else 1
-    lam = float(vals[idx])
-    phi = vecs[:, idx]
-    if op.bc == DIRICHLET:
-        full = np.zeros(op.n)
-        full[1:-1] = phi / op.symmetrizer[1:-1]
-    else:
-        full = phi / op.symmetrizer
-    norm = math.sqrt(float(np.dot(op.weights * full, full)))
-    return lam, full / norm
+    return float(_eigh(op, 1)[0 if op.bc == DIRICHLET else 1])
 
 
 def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
@@ -413,13 +391,25 @@ def boundary_gap_revolution(body: RevolutionBody3D):
     eigenproblem to 1-D Sturm-Liouville problems over the profile; the
     gap is the minimum over the azimuthal modes 0..AZIMUTHAL_MODES,
     excluding the constant mode of the axisymmetric block.  Returns
-    (lambda_1, mode).
+    (lambda_1, mode), the first mode that attains the minimum.
+
+    The modes are solved in order and the scan stops at the first mode
+    k >= 1 whose lowest eigenvalue does not undercut the minimum so far:
+    -S_{k+1} = -S_k + diag((2k+1)/r^2) for k >= 1, so by Weyl no later
+    mode can (a NaN never stops the scan).  The result is kept in the
+    body's __dict__, as functools.cached_property does, so each body is
+    scanned once; its arrays are read-only.
     """
-    ops = _revolution_mode_operators(body, AZIMUTHAL_MODES)
-    best = math.inf
-    best_mode = -1
-    for mode, op in enumerate(ops):
+    found = body.__dict__.get("_boundary_gap")
+    if found is not None:
+        return found
+    best, best_mode = math.inf, -1
+    for mode, op in enumerate(_revolution_mode_operators(body)):
         lam = float(_eigh(op, 1 if mode == 0 else 0)[-1])
+        if mode and lam >= best:
+            break
         if lam < best:
             best, best_mode = lam, mode
-    return best, best_mode
+    # two threads that race here both scan and store equal results
+    found = body.__dict__["_boundary_gap"] = (best, best_mode)
+    return found

@@ -10,6 +10,7 @@ in CHANGES.md and names the ROADMAP item that plans its repair.
 import pytest
 
 import reilly_lab.cli as cli
+from reilly_lab.bodies import build_sphere_body
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import CurvatureNotPositive
 from reilly_lab.flows import weingarten_wave
@@ -91,3 +92,14 @@ def test_lichnerowicz_sweep_at_n_minus_2_rho_1e4_refuses_without_a_warning(
         "N = -2\nrho = 1e4\n"))
     assert code == 2, err
     assert err.startswith("config error: rho = ")
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "ROADMAP item 10: build_sphere_body(1.0, n_cells=64) raises `profile "
+    "is not arclength parametrized` for the exact arclength profile "
+    "(R sin(s/R), R cos(s/R)): the 4th-order one-sided difference at the "
+    "pole node reads |speed - 1| = 1.157e-6 against the fixed 1e-6 bound "
+    "(2.3e-7 at 96 cells)"))
+def test_exact_sphere_profile_builds_at_64_cells():
+    body = build_sphere_body(1.0, n_cells=64)
+    assert body.n_cells == 64

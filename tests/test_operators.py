@@ -1,23 +1,41 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reilly_lab import operators
 from reilly_lab.bodies import (build_plane_body, build_sphere_body,
                                build_spheroid_body)
 from reilly_lab.errors import SingularSystem
+from reilly_lab.inequalities import boundary_cd_report, check_boundary_gaps
 from reilly_lab.models import (build_gaussian_interval, build_interval_model,
                                build_model_density)
 from reilly_lab.numerics import observed_orders, richardson
-from reilly_lab.operators import (DIRICHLET, NEUMANN, PERIODIC,
-                                  assemble_laplacian, boundary_gap_revolution,
-                                  boundary_geometry, eigenvalues,
-                                  solve_poisson, spectral_gap,
+from reilly_lab.operators import (AZIMUTHAL_MODES, DIRICHLET, NEUMANN,
+                                  PERIODIC, assemble_laplacian,
+                                  boundary_gap_revolution, boundary_geometry,
+                                  eigenvalues, solve_poisson, spectral_gap,
                                   weighted_integral)
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
-                                model_density_params, random_convex_bodies)
+                                gaussian_half_model, model_density_params,
+                                random_convex_bodies)
 from reilly_lab.trig import TrigPolynomial
+
+
+def _load_digest_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (lambda_1, weighted-unit eigenvector on the full grid); the library's
+# spectral_gap computes no eigenvector
+gap_eigenpair = _load_digest_tool().gap_eigenpair
 
 
 def symmetry_defect(op):
@@ -68,7 +86,7 @@ def test_dirichlet_gap_pi_squared_with_order():
     errs = []
     for n in (100, 200, 400):
         op = assemble_laplacian(flat_interval(0.0, 1.0, n), DIRICHLET)
-        lam, vec = spectral_gap(op)
+        lam, vec = gap_eigenpair(op)
         errs.append(abs(lam - math.pi**2))
         assert vec[0] == 0.0 and vec[-1] == 0.0
     assert errs[-1] / math.pi**2 <= 1e-3
@@ -77,7 +95,7 @@ def test_dirichlet_gap_pi_squared_with_order():
 
 def test_dirichlet_gap_within_tenth_percent_at_200():
     op = assemble_laplacian(flat_interval(0.0, 1.0, 200), DIRICHLET)
-    lam, _ = spectral_gap(op)
+    lam = spectral_gap(op)
     assert abs(lam - math.pi**2) / math.pi**2 <= 1e-3
 
 
@@ -91,7 +109,7 @@ def test_circle_spectrum():
 def test_model_density_neumann_gap():
     params = model_density_params(1.0, 5.0)
     model = build_model_density(params, 2001)
-    lam, vec = spectral_gap(assemble_laplacian(model, NEUMANN))
+    lam, vec = gap_eigenpair(assemble_laplacian(model, NEUMANN))
     assert abs(lam - 1.25) / 1.25 <= 1e-4
     # eigenvector normalized in the weighted norm
     norm = weighted_integral(vec**2, model)
@@ -102,8 +120,7 @@ def test_gaussian_gap_richardson():
     gaps = []
     for n in (2001, 4001):
         model = build_gaussian_interval(1.0, 6.0, n)
-        lam, _ = spectral_gap(assemble_laplacian(model, NEUMANN))
-        gaps.append(lam)
+        gaps.append(spectral_gap(assemble_laplacian(model, NEUMANN)))
     assert abs(richardson(gaps, 2.0, 2) - 1.0) <= 1e-6
 
 
@@ -234,6 +251,88 @@ def test_revolution_gap_spheroid_two_resolution_consistency():
     assert lam_fine >= 2.0 * (xi - sigma) * sigma
 
 
+def _sweep_model(n):
+    return build_model_density(model_density_params(1.0, 5.0), n)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: assemble_laplacian(_sweep_model(2001), NEUMANN),
+    lambda: assemble_laplacian(_sweep_model(32001), NEUMANN),
+    lambda: assemble_laplacian(_sweep_model(32001), DIRICHLET),
+    lambda: assemble_laplacian(gaussian_half_model(401), DIRICHLET),
+    lambda: assemble_laplacian(build_spheroid_body(1.0, 1.2, 256), NEUMANN),
+    lambda: assemble_laplacian(disk_body(m=256), PERIODIC),
+] + [lambda body=body: assemble_laplacian(body, PERIODIC)
+     for body in random_convex_bodies(3, 0, m=512)],
+    ids=["neumann-2001", "neumann-32001", "dirichlet-32001",
+         "dirichlet-gauss-half", "neumann-spheroid", "periodic-disk",
+         "periodic-corpus-0", "periodic-corpus-1", "periodic-corpus-2"])
+def test_value_only_gap_is_the_eigenpair_gap_bit_for_bit(make_op):
+    # spectral_gap asks LAPACK for no vectors (dstebz order "E", dsyevr
+    # compute_v=0) at the same index range; the eigenvalues must not move
+    op = make_op()
+    lam = spectral_gap(op)
+    assert type(lam) is float
+    assert np.float64(lam).tobytes() == np.float64(gap_eigenpair(op)[0]).tobytes()
+
+
+def _full_mode_scan(body):
+    """(lambda_1, mode) over every mode 0..AZIMUTHAL_MODES, each mode's
+    operator the axisymmetric one plus its k^2 / r^2 diagonal term."""
+    base = assemble_laplacian(body, NEUMANN)
+    r_center = 0.5 * (body.r[:-1] + body.r[1:])
+    best, best_mode = math.inf, -1
+    for mode in range(AZIMUTHAL_MODES + 1):
+        if mode == 0:
+            lam = float(eigenvalues(base, 2)[-1])
+        else:
+            op = dataclasses.replace(
+                base, diag=base.diag - (mode * mode) / r_center**2)
+            lam = float(eigenvalues(op, 1)[-1])
+        if lam < best:
+            best, best_mode = lam, mode
+    return best, best_mode
+
+
+@pytest.mark.parametrize("n_cells", [256, 1024])
+@pytest.mark.parametrize("build, winner", [
+    (lambda n: build_sphere_body(1.0, n), None),
+    (lambda n: build_spheroid_body(1.0, 1.5, n), 0),
+    (lambda n: build_spheroid_body(1.2, 0.8, n), 1),
+], ids=["sphere", "prolate", "oblate"])
+def test_early_exit_mode_scan_is_the_full_scan_bit_for_bit(build, winner,
+                                                           n_cells):
+    body = build(n_cells)
+    lam, mode = boundary_gap_revolution(body)
+    full_lam, full_mode = _full_mode_scan(body)
+    assert mode == full_mode
+    assert np.float64(lam).tobytes() == np.float64(full_lam).tobytes()
+    if winner is not None:
+        assert mode == winner
+
+
+def test_a_revolution_body_is_scanned_once(monkeypatch):
+    solves = []
+    real = operators._eigh
+
+    def counted(op, last, vectors=False):
+        solves.append(op.model_ref)
+        return real(op, last, vectors)
+
+    monkeypatch.setattr(operators, "_eigh", counted)
+    body = build_spheroid_body()
+    gaps = check_boundary_gaps(body)
+    cd = boundary_cd_report(body)
+    assert 1 <= len(solves) <= 3
+    first = len(solves)
+    assert gaps[0].rhs == cd[-1].rhs == boundary_gap_revolution(body)[0]
+    assert len(solves) == first
+    # a rebuilt body is a new instance, and it is scanned afresh
+    again = build_spheroid_body()
+    assert boundary_gap_revolution(again) == boundary_gap_revolution(body)
+    assert len(solves) == 2 * first
+
+
 def test_operator_rejects_tiny_grids():
     with pytest.raises(ValueError):
         model = flat_interval(0.0, 1.0, 16)
@@ -251,8 +350,9 @@ def _full_spectrum(op):
 def test_periodic_subset_eigensolve_matches_full_eigh(body):
     op = assemble_laplacian(body, PERIODIC)
     full = _full_spectrum(op)
-    lam, vec = spectral_gap(op)
+    lam = spectral_gap(op)
     assert abs(lam - full[1]) <= 1e-9 * max(1.0, abs(full[1]))
+    _, vec = gap_eigenpair(op)
     assert weighted_integral(vec**2, body) == pytest.approx(1.0, abs=1e-10)
     vals = eigenvalues(op, 7)
     assert vals.shape == (7,)
@@ -262,7 +362,7 @@ def test_periodic_subset_eigensolve_matches_full_eigh(body):
 
 @pytest.mark.parametrize("m", [128, 256, 512, 1024])
 def test_disk_periodic_gap_is_one(m):
-    lam, _ = spectral_gap(assemble_laplacian(disk_body(m=m), PERIODIC))
+    lam = spectral_gap(assemble_laplacian(disk_body(m=m), PERIODIC))
     assert abs(lam - 1.0) <= 1e-9
 
 
