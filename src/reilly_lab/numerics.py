@@ -75,7 +75,12 @@ def _wrap_pad(y: np.ndarray) -> np.ndarray:
 
 
 def _diff1(p: np.ndarray, m: int, h: float) -> np.ndarray:
-    return (8.0 * (p[3:m + 3] - p[1:m + 1]) - (p[4:] - p[:m])) / (12.0 * h)
+    # (8 (p[i+1] - p[i-1]) - (p[i+2] - p[i-2])) / 12h, in place
+    d = np.subtract(p[3:m + 3], p[1:m + 1])
+    d *= 8.0
+    d -= np.subtract(p[4:], p[:m])
+    d /= 12.0 * h
+    return d
 
 
 def periodic_diff1(y: np.ndarray, h: float) -> np.ndarray:
@@ -97,8 +102,13 @@ def periodic_diff12(y: np.ndarray, h: float):
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     p = _wrap_pad(y)
-    d2 = (-(p[4:] + p[:m]) + 16.0 * (p[3:m + 3] + p[1:m + 1])
-          - 30.0 * p[2:m + 2]) / (12.0 * h * h)
+    # (-(p[i+2] + p[i-2]) + 16 (p[i+1] + p[i-1]) - 30 p[i]) / 12h^2, in
+    # place; b - a is -a + b to the bit
+    d2 = np.add(p[3:m + 3], p[1:m + 1])
+    d2 *= 16.0
+    d2 -= np.add(p[4:], p[:m])
+    d2 -= 30.0 * p[2:m + 2]
+    d2 /= 12.0 * h * h
     return _diff1(p, m, h), d2
 
 

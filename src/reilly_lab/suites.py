@@ -4,9 +4,11 @@ The catalogue is one table of rows ``(name, call)``.  ``name`` is
 ``"<suite>/<check>"`` and appears nowhere else; ``call`` takes no
 arguments and builds its inputs only when it runs.  The rows that read
 ``waves()`` or ``pnfs()`` share one batched integration, which the first
-of them to run builds for that catalogue alone.  ``suite_thunks``
-selects the rows of one suite by the prefix before the ``/``, and
-``run_suite_checks`` runs them and names what they return:
+of them to run builds for that catalogue alone.  The rows on the default
+spheroid, and those on the unit sphere, share one body the same way, but
+stay separate work items.  ``suite_thunks`` selects the rows of one suite
+by the prefix before the ``/``, and ``run_suite_checks`` runs them and
+names what they return:
 
   * a single report takes the row name;
   * each member of a report family (mean curvature, boundary gaps,
@@ -283,6 +285,8 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
         (disk_body(m=256), 1.0), (disk_body(m=256), _ORACLE_PHI),
         (disk_body(m=256), TrigPolynomial((1.0, 0.0, 0.12)))], 0.5, 2e-3,
         snapshot_every=250))
+    spheroid = cache(build_spheroid_body)
+    sphere = cache(partial(build_sphere_body, 1.0))
     return [
         ("reilly/interval-gauss", lambda: reilly_convergence(
             gaussian_model, lambda t: t**2, REILLY_RESOLUTIONS)),
@@ -347,22 +351,22 @@ def _catalogue(seed: int) -> List[Tuple[str, Callable]]:
             ellipse_body(), TrigPolynomial((0.0, 0.0, 1.0)), rho=0.0)),
         ("colesanti/hr-disk", lambda: check_mean_curvature(disk_body(), TH2)),
         ("colesanti/hr-ball",
-         lambda: check_mean_curvature(build_sphere_body(1.0), TH3)),
+         lambda: check_mean_curvature(sphere(), TH3)),
         ("colesanti/hr-ellipse",
          lambda: check_mean_curvature(ellipse_body(), TH2)),
         ("colesanti/hr-spheroid",
-         lambda: check_mean_curvature(build_spheroid_body(), TH3)),
+         lambda: check_mean_curvature(spheroid(), TH3)),
 
         ("boundary/gaps-circle", lambda: check_boundary_gaps(disk_body())),
         ("boundary/gaps-sphere",
-         lambda: check_boundary_gaps(build_sphere_body(1.0))),
+         lambda: check_boundary_gaps(sphere())),
         ("boundary/gaps-spheroid",
-         lambda: check_boundary_gaps(build_spheroid_body())),
+         lambda: check_boundary_gaps(spheroid())),
         ("boundary/gaps-corpus", lambda: _gaps_corpus(seed + 3)),
         ("boundary/cd-sphere",
-         lambda: boundary_cd_report(build_sphere_body(1.0))),
+         lambda: boundary_cd_report(sphere())),
         ("boundary/cd-spheroid",
-         lambda: boundary_cd_report(build_spheroid_body())),
+         lambda: boundary_cd_report(spheroid())),
 
         ("flows/wave-const", _reads(waves, 0, _wave_linear)),
         ("flows/wave-perturbed", _reads(waves, 1, _wave_alive,

@@ -94,6 +94,32 @@ def test_lichnerowicz_sweep_at_n_minus_2_rho_1e4_refuses_without_a_warning(
     assert err.startswith("config error: rho = ")
 
 
+_LICHNEROWICZ_2001 = ("[sweep]\ncheck = lichnerowicz\nparam = n_pts\n"
+                      "values = 2001\n")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5(b): `[sweep] check = lichnerowicz, N = 5, rho = 100, "
+    "n_pts = 2001` exits 1 on a true equality: the discrete Neumann gap "
+    "keeps its relative error 1.68e-6 while the 10 h^2 lambda tolerance "
+    "shrinks with the interval, so rhs reads 124.99979 against lhs 125"))
+def test_lichnerowicz_equality_passes_at_rho_100(tmp_path, capsys):
+    code, err = _sweep_exit_and_err(tmp_path, capsys,
+                                    _LICHNEROWICZ_2001 + "N = 5\nrho = 100\n")
+    assert code == 0, err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5(c): suites.lichnerowicz truncates every hyperbolic "
+    "density at beta_trunc = 8, so at N = -2, rho = 3000 exp(-V) "
+    "underflows and the sweep exits 2 with `density exp(-V) must be "
+    "positive and finite`"))
+def test_lichnerowicz_sweep_runs_at_n_minus_2_rho_3000(tmp_path, capsys):
+    code, err = _sweep_exit_and_err(tmp_path, capsys,
+                                    _LICHNEROWICZ_2001 + "N = -2\nrho = 3000\n")
+    assert code in (0, 1), err
+
+
 @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
     "ROADMAP item 10: build_sphere_body(1.0, n_cells=64) raises `profile "
     "is not arclength parametrized` for the exact arclength profile "

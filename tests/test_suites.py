@@ -70,6 +70,38 @@ def test_wave_rows_share_one_batch_per_catalogue(monkeypatch):
         assert len(calls) == expected and len(calls[-1]) == len(rows)
 
 
+_REVOLUTION_ROWS = {
+    "build_spheroid_body": ("colesanti/hr-spheroid", "boundary/gaps-spheroid",
+                            "boundary/cd-spheroid"),
+    "build_sphere_body": ("colesanti/hr-ball", "boundary/gaps-sphere",
+                          "boundary/cd-sphere"),
+}
+
+
+def test_revolution_rows_share_one_body_per_catalogue(monkeypatch):
+    # the rows on the default spheroid, and those on the unit sphere, read
+    # one body that the first of them builds; they stay separate items
+    built = []
+
+    def counted(builder, real):
+        def build(*args):
+            built.append(builder)
+            return real(*args)
+        return build
+
+    for builder in _REVOLUTION_ROWS:
+        monkeypatch.setattr(suites, builder,
+                            counted(builder, getattr(suites, builder)))
+    rows = dict(suite_thunks("all", 3))
+    for builder, names in _REVOLUTION_ROWS.items():
+        for name in names:
+            rows[name]()
+        assert built.count(builder) == 1
+        assert all(not hasattr(rows[name], "batch") for name in names)
+    dict(suite_thunks("all", 3))["boundary/cd-spheroid"]()
+    assert built.count("build_spheroid_body") == 2
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Raise TimeoutError in the caller after ``seconds`` (POSIX only)."""
