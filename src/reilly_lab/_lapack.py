@@ -1,7 +1,9 @@
-"""scipy's LAPACK extension ``_flapack`` (?stebz, ?stein, ?syevr, ?gtsv),
-loaded by file location without running ``scipy/__init__`` or the some 300
+"""scipy's LAPACK extension ``_flapack`` (?stebz, ?syevr, ?gtsv), loaded
+by file location without running ``scipy/__init__`` or the some 300
 modules of ``scipy.linalg``.  The callers replay scipy 1.17's argument
-sequences, so their results are bitwise those of its wrappers."""
+sequences, so their results are bitwise those of its wrappers, and ask
+for eigenvalues only.  Every call refuses an input holding an inf or a
+NaN, as scipy's check_finite does."""
 
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -32,10 +34,9 @@ def _finite(*arrays) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _gtsv(dl, d, du, b, check_finite: bool = True) -> np.ndarray:
+def _gtsv(dl, d, du, b) -> np.ndarray:
     """solve_banded((1, 1), ...) of the system with diagonals dl, d, du."""
-    if check_finite:
-        _finite(dl, d, du, b)
+    _finite(dl, d, du, b)
     x, info = flapack.dgtsv(dl, d, du, b)[3:]
     if info:
         raise (LinAlgError("singular matrix") if info > 0 else

@@ -110,8 +110,8 @@ def _config(args, **extra) -> SuiteConfig:
 
 def _cmd_verify(args) -> int:
     cfg = _config(args, suite=args.suite)
-    reports = run_suite_checks(cfg.suite, seed=cfg.seed, workers=cfg.workers,
-                               tol_scale=cfg.tol_scale)
+    reports = [r.with_tol_scale(cfg.tol_scale) for r in run_suite_checks(
+        cfg.suite, seed=cfg.seed, workers=cfg.workers)]
     document = emit_report(reports, cfg.echo())
     _write(cfg.out or None, lambda handle: handle.write(document))
     passed = sum(1 for r in reports if r.passed is True)

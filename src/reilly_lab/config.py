@@ -35,7 +35,7 @@ from typing import Callable, Dict, Optional
 
 from .bodies import ConvexPlaneBody, SphereCap
 from .checks import CheckReport
-from .dimension import InverseDimension, theta_from_config_n
+from .dimension import InverseDimension
 from .errors import ConfigError, ConvergenceFailure, CurvatureNotPositive
 from .flows import (FlowResult, latitude_circle, parallel_normal_flow,
                     weingarten_wave)
@@ -176,7 +176,7 @@ def _to_m(value: str) -> int:
 def _to_theta(value: str, key: str) -> InverseDimension:
     """The N of a Lichnerowicz row as theta = 1/N."""
     try:
-        theta = theta_from_config_n(value)
+        theta = InverseDimension.from_n(float(value))
     except ValueError as exc:
         raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
     if theta.theta == 1.0:

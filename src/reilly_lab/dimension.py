@@ -99,10 +99,3 @@ class InverseDimension:
         n = 1.0 / self.theta
         return n * mass ** self.theta
 
-
-def theta_from_config_n(text: str) -> InverseDimension:
-    """Parse the config spelling of N: '0' -> theta = -inf, 'inf' -> theta = 0."""
-    word = text.strip().lower()
-    if word in ("inf", "infinity", "+inf"):
-        return InverseDimension(0.0)
-    return InverseDimension.from_n(float(word))

@@ -226,13 +226,14 @@ def check_lichnerowicz(model: IntervalModel, rho: float,
                        case: str = "neumann") -> CheckReport:
     """Gap bound N/(N-1) rho <= lambda_1 under CD(rho, N)."""
     case = case.lower()
-    bc = NEUMANN if case == "neumann" else DIRICHLET
+    if case not in (NEUMANN, DIRICHLET):
+        raise ValueError(f"unknown case {case!r}")
     margin = model.bakry_emery_min(theta)
     if margin < rho - 1e-10 * max(1.0, abs(rho)):
         raise CurvatureNotPositive(
             f"CD({rho:g}, N) fails: min Ric = {margin:.6g} on {model.label}"
         )
-    lam = spectral_gap(assemble_laplacian(model, bc))
+    lam = spectral_gap(assemble_laplacian(model, case))
     lhs = theta.n_over_n_minus_1 * rho
     tol = inequality_tolerance(scale=max(1.0, abs(lhs)), h=model.h)
     return from_inequality(

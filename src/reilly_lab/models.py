@@ -149,8 +149,6 @@ def build_model_density(params: ModelDensityParams, n_pts: int) -> IntervalModel
     V = -(N-1) log R with analytic derivatives; the 1-D Bakry-Emery tensor
     equals rho at every node (the construction is the equality case).
     """
-    if n_pts < 16:
-        raise ValueError("n_pts must be at least 16")
     n = params.theta.n_value
     a = -params.beta_trunc if params.variant == "neumann" else 0.0
     b = params.beta_trunc

@@ -466,8 +466,8 @@ def _fork(rows, items, queue: int) -> Tuple[int, int]:
     return pid, read
 
 
-def run_suite_checks(suite: str, seed: int = 1234, workers: int = 1,
-                     tol_scale: float = 1.0) -> List[CheckReport]:
+def run_suite_checks(suite: str, seed: int = 1234,
+                     workers: int = 1) -> List[CheckReport]:
     """Execute a suite on ``workers`` processes; reports come back sorted
     by check name and do not depend on ``workers``."""
     rows = suite_thunks(suite, seed)
@@ -500,6 +500,4 @@ def run_suite_checks(suite: str, seed: int = 1234, workers: int = 1,
                              + ", ".join(name for i, (name, _) in
                                          enumerate(rows) if i not in ran))
     reports = [r for _, named in sorted(done) for r in named]
-    if tol_scale != 1.0:
-        reports = [r.with_tol_scale(tol_scale) for r in reports]
     return sorted(reports, key=lambda r: r.name)

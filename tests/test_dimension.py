@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from reilly_lab.dimension import InverseDimension, theta_from_config_n
+from reilly_lab.config import _to_theta
+from reilly_lab.dimension import InverseDimension
+from reilly_lab.errors import ConfigError
 
 
 def test_theta_zero_is_infinite_n():
@@ -33,10 +35,13 @@ def test_range_validation():
 
 
 def test_config_spellings():
-    assert theta_from_config_n("inf").theta == 0.0
-    assert math.isinf(theta_from_config_n("0").theta)
-    assert theta_from_config_n("5").n_value == pytest.approx(5.0)
-    assert theta_from_config_n("-2").n_value == pytest.approx(-2.0)
+    for word in ("inf", "+inf", " Infinity "):
+        assert _to_theta(word, "N").theta == 0.0
+    # 0 reads as theta = -inf, which a Lichnerowicz row refuses
+    with pytest.raises(ConfigError, match="N = 0 has no"):
+        _to_theta("0", "N")
+    assert _to_theta("5", "N").n_value == pytest.approx(5.0)
+    assert _to_theta("-2", "N").n_value == pytest.approx(-2.0)
 
 
 @given(st.floats(min_value=-50.0, max_value=-1.01) | st.floats(min_value=1.5, max_value=50.0))

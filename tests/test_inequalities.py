@@ -286,6 +286,13 @@ def test_lichnerowicz_gaussian_and_half():
     assert rep2.rhs >= 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("case", ["Neumann ", "bogus"])
+def test_lichnerowicz_refuses_an_unknown_case(case):
+    with pytest.raises(ValueError, match="unknown case"):
+        check_lichnerowicz(build_gaussian_interval(1.0, 6.0, 401), 1.0, TH_INF,
+                           case=case)
+
+
 def test_veysseire_quartic():
     model = veysseire_quartic_model(2001)
     rep = check_veysseire(model)

@@ -3,18 +3,23 @@
 Each test asserts the behaviour the lab should have and is marked
 ``xfail(strict=True)``: it fails today, and the change that mends the
 defect makes it pass, which fails the suite until that change deletes the
-marker and records the mend.  Each reason quotes the defect as recorded
-in CHANGES.md and names the ROADMAP item that plans its repair.
+marker and records the mend; a mended probe stays as a plain test.  Each
+reason quotes the defect as recorded in CHANGES.md and names the ROADMAP
+item that plans its repair.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import reilly_lab.cli as cli
+from reilly_lab import bodies
 from reilly_lab.bodies import build_sphere_body
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import CurvatureNotPositive
 from reilly_lab.flows import weingarten_wave
-from reilly_lab.inequalities import check_lichnerowicz
+from reilly_lab.inequalities import boundary_cd_report, check_lichnerowicz
 from reilly_lab.models import build_model_density
 from reilly_lab.presets import body_from_spec, model_density_params
 from reilly_lab.trig import TrigPolynomial
@@ -40,6 +45,16 @@ def test_unstable_wave_step_is_named():
     body = body_from_spec("ellipse:1.5,1", m=128)
     phi = TrigPolynomial.from_flat([1.0, 0.0, 0.2])
     result = weingarten_wave(body, phi, 0.6, 3.3e-3)
+    assert result.death_reason == "unstable-step"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: the disk at m = 128, phi = 1,0,0.2, dt = 4.5e-3 dies "
+    "as `curvature-floor` at t = 0.1665, never as an unstable step"))
+def test_unstable_wave_step_on_the_disk_is_named():
+    body = body_from_spec("disk", m=128)
+    phi = TrigPolynomial.from_flat([1.0, 0.0, 0.2])
+    result = weingarten_wave(body, phi, 0.3, 4.5e-3)
     assert result.death_reason == "unstable-step"
 
 
@@ -120,12 +135,37 @@ def test_lichnerowicz_sweep_runs_at_n_minus_2_rho_3000(tmp_path, capsys):
     assert code in (0, 1), err
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "ROADMAP item 10: build_sphere_body(1.0, n_cells=64) raises `profile "
-    "is not arclength parametrized` for the exact arclength profile "
-    "(R sin(s/R), R cos(s/R)): the 4th-order one-sided difference at the "
-    "pole node reads |speed - 1| = 1.157e-6 against the fixed 1e-6 bound "
-    "(2.3e-7 at 96 cells)"))
+# the speed at and next to each pole is read through the profile reflected
+# about the pole: |speed - 1| = 1.9e-7 against the fixed 1e-6 bound
 def test_exact_sphere_profile_builds_at_64_cells():
     body = build_sphere_body(1.0, n_cells=64)
     assert body.n_cells == 64
+
+
+def _spheroid_ricci_discrepancy(scale):
+    """max_discrepancy of the default spheroid's boundary-ricci-transfer
+    record, built with build_spheroid_body's callables and the curve
+    parameter at each node multiplied by `scale`."""
+    a, c, n_cells = 1.0, 1.2, 1024
+    s, r, z = bodies._arclength_reparametrize(
+        lambda tau: a * np.sin(tau * scale),
+        lambda tau: c * np.cos(tau * scale),
+        0.0, math.pi, n_cells,
+        speed_fn=lambda tau: np.sqrt(
+            a * a * np.cos(tau) ** 2 + c * c * np.sin(tau) ** 2))
+    body = bodies._closed(s, r, z, "spheroid(a=1,c=1.2)")
+    return boundary_cd_report(body)[0].params["max_discrepancy"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 10: one-ulp moves (1 +- 2^-52, random signs, seed 0) of "
+    "the curve parameter at the default spheroid's interior nodes move "
+    "its boundary-ricci-transfer max_discrepancy from 2.01e-8 to 6.08e-8, "
+    "against the 1e-10 target; -r''/r next to the poles divides a second "
+    "difference by r = h"))
+def test_spheroid_ricci_record_is_stable_under_one_ulp_node_moves():
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], 1025)
+    scale = 1.0 + signs * 2.0**-52
+    scale[0] = scale[-1] = 1.0
+    moved = _spheroid_ricci_discrepancy(scale)
+    assert abs(moved - _spheroid_ricci_discrepancy(1.0)) < 1e-10

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from reilly_lab.bodies import (ConvexPlaneBody, SphereCap, build_plane_body,
-                               build_sphere_body, build_spheroid_body,
-                               plane_body_from_samples)
+from reilly_lab.bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
+                               build_plane_body, build_sphere_body,
+                               build_spheroid_body, plane_body_from_samples)
 from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import ConvexityViolation
 from reilly_lab.models import (ModelDensityParams, build_gaussian_interval,
@@ -163,6 +163,21 @@ def test_spheroid_closed_form_curvature_extremes():
     assert np.min(k1) == pytest.approx(a / c**2, abs=1e-8)
     assert np.min(k2[1:-1]) == pytest.approx(1.0 / a, abs=1e-8)
     assert np.max(k2[1:-1]) == pytest.approx(c / a**2, abs=1e-4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_revolution_profiles_must_be_finite(bad):
+    sphere = build_sphere_body(1.0, 64)
+    for name in ("s", "r", "z"):
+        arrays = {key: getattr(sphere, key).copy() for key in ("s", "r", "z")}
+        arrays[name][10] = bad
+        with pytest.raises(ValueError, match=f"profile {name} must be finite"):
+            RevolutionBody3D(**arrays)
+    # the spheroid's spline refuses a non-finite semi-axis before any body
+    # is built (an infinite one makes NaNs on the way)
+    with pytest.raises(ValueError, match="infs or NaNs"), \
+            np.errstate(invalid="ignore"):
+        build_spheroid_body(bad, 1.2)
 
 
 def test_sphere_cap_invariants():

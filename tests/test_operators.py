@@ -315,9 +315,9 @@ def test_a_revolution_body_is_scanned_once(monkeypatch):
     solves = []
     real = operators._eigh
 
-    def counted(op, last, vectors=False):
+    def counted(op, last):
         solves.append(op.model_ref)
-        return real(op, last, vectors)
+        return real(op, last)
 
     monkeypatch.setattr(operators, "_eigh", counted)
     body = build_spheroid_body()

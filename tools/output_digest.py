@@ -28,9 +28,9 @@ The lines are:
   ``verify all seed=<n> workers=2 checks <sha>`` per seed, the same
   digest as the ``verify`` line above it with two worker processes;
   last, more ``lib`` lines for the boundary layer: a periodic operator
-  matrix and spectrum, a Dirichlet eigenvector, the boundary geometry of
-  four bodies, a dual Colesanti check and the spheroid's boundary CD
-  records.
+  matrix and spectrum, a Dirichlet gap eigenvector (from scipy.linalg),
+  the boundary geometry of four bodies, a dual Colesanti check and the
+  spheroid's boundary CD records.
 
 A change meant to keep every output byte-identical runs this on the
 parent tree and on the change and compares the two with ``diff``.
@@ -50,6 +50,7 @@ import warnings
 
 import reilly_lab  # noqa: F401  (first: sets the BLAS thread default)
 import numpy as np
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from reilly_lab import cli, flows
 from reilly_lab.bodies import build_spheroid_body
@@ -58,7 +59,7 @@ from reilly_lab.dimension import InverseDimension
 from reilly_lab.inequalities import (boundary_cd_report, check_bln,
                                      check_dual_colesanti)
 from reilly_lab.models import build_model_density
-from reilly_lab.operators import (DIRICHLET, _eigh, assemble_laplacian,
+from reilly_lab.operators import (DIRICHLET, assemble_laplacian,
                                   boundary_gap_revolution, boundary_geometry,
                                   eigenvalues)
 from reilly_lab.presets import (disk_body, ellipse_body, flat_ball,
@@ -162,9 +163,16 @@ def flow_digests(result):
 
 def gap_eigenpair(op):
     """(lambda_1, phi_1) of -L: the gap that ``spectral_gap`` returns, from
-    the same subset eigensolve with vectors, and its eigenvector on the
-    full grid (zero at Dirichlet walls), normalized in the weighted norm."""
-    vals, vecs = _eigh(op, 1, vectors=True)
+    scipy.linalg's subset eigensolve with vectors (the eigenvalue sequence
+    the library replays without them), and its eigenvector on the full
+    grid (zero at Dirichlet walls), normalized in the weighted norm."""
+    if op.kind == "periodic":
+        vals, vecs = eigh(-op.deflated_symmetric(), subset_by_index=[0, 1])
+    else:
+        d, e = op.symmetric_form()
+        if op.bc == DIRICHLET:
+            d, e = d[1:-1], e[1:-1]
+        vals, vecs = eigh_tridiagonal(-d, -e, select="i", select_range=(0, 1))
     idx = 0 if op.bc == DIRICHLET else 1
     phi = vecs[:, idx]
     if op.bc == DIRICHLET:
