@@ -283,6 +283,10 @@ def build_spheroid_body(a: float = 1.0, c: float = 1.2,
     The ellipse quarter-turn parametrization (a sin tau, c cos tau) is
     reparametrized to arclength numerically.
     """
+    for name, axis in (("a", a), ("c", c)):
+        if not (math.isfinite(axis) and axis > 0.0):
+            raise ValueError(f"semi-axis {name} must be finite and positive, "
+                             f"got {axis!r}")
     s, r, z = _arclength_reparametrize(
         lambda tau: a * np.sin(tau),
         lambda tau: c * np.cos(tau),

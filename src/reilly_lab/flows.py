@@ -10,7 +10,8 @@ wave, runs through one integrator: the classical 4-stage explicit scheme
 with a fixed step (determinism over adaptivity).  Marker geometry comes
 from the polyline with 4th-order periodic differences and is evaluated
 once per state, so an accepted step's geometry is the next step's first
-stage.
+stage.  The wave's geometry pads (x, y, phi) once for all their
+derivatives, so its right-hand side pads only the flux.
 
 The plane kernels read and write one coordinate at a time.  On the
 (m, B, 2) and (m, B, 3) batches, a numpy op over a 2- or 3-long trailing
@@ -19,10 +20,13 @@ op: at m = 128 and B = 3, on a 2-core x86 box, 4.7 us for one op on the
 wave's z[..., :2] view against 1.0 us on a contiguous array.  So nu is
 divided out of the tangent straight into its columns, the unit tangent
 tau = (-nu_y, nu_x) is never formed, and each right-hand side writes its
-velocity columns one by one.  The integrator clears a candidate with two
-whole-batch reductions, isfinite (2.4 us) and the minimum curvature
-(1.3 us), against 13 and 6.4 us for the per-member ones, and judges
-members one by one only when either fails.
+velocity columns in place.  The sphere flow's state is coordinate-major
+instead, (3, m): each coordinate is a contiguous row, an (m,) vector
+broadcasts along the last axis, and dot products sum in np.einsum's
+order, (a0 b0 + a2 b2) + a1 b1, which keeps the bits of the (m, 3) forms.
+The integrator clears a candidate with two whole-batch reductions,
+isfinite and the minimum curvature (2.4 and 1.3 us, against 13 and 6.4
+us per member), and judges members one by one only when either fails.
 
 Flow breakdown (non-finite state, curvature floor, self-intersection,
 loss of positive measure) is a reported outcome: the run returns its
@@ -42,7 +46,8 @@ from .bodies import (ConvexPlaneBody, RevolutionBody3D, SphereCap,
 from .checks import CheckReport, from_inequality, inequality_tolerance
 from .dimension import InverseDimension
 from .errors import CapOverflow, ConvexityViolation
-from .numerics import periodic_diff1, periodic_diff12, spectral_diff
+from .numerics import (_periodic_diff12, periodic_diff1, periodic_diff12,
+                       spectral_diff)
 from .operators import boundary_geometry, weighted_integral
 from .trig import TrigPolynomial
 
@@ -183,12 +188,13 @@ def quermassintegrals(body, theta: InverseDimension) -> CheckReport:
 
 
 def _plane_geometry(points: np.ndarray, hy: float):
-    """(speed, py, nu, kappa) of (m, 2) markers or an (m, B, 2) batch.
+    """(speed, py, nu, kappa) of (m, 2) markers or an (m, B, 2) batch."""
+    return _plane_frame(*periodic_diff12(points, hy))
 
-    py is the tangent dF/dy = speed tau.  The unit tangent is not formed:
-    tau = (-nu_y, nu_x), exactly, since negation is exact.
-    """
-    py, pyy = periodic_diff12(points, hy)
+
+def _plane_frame(py: np.ndarray, pyy: np.ndarray):
+    """(speed, py, nu, kappa) from the derivatives py = dF/dy = speed tau and
+    pyy; tau = (-nu_y, nu_x) exactly, since negation is exact."""
     speed = np.hypot(py[..., 0], py[..., 1])
     nu = np.empty_like(py)                           # outward for CCW curves
     np.divide(py[..., 1], speed, out=nu[..., 0])
@@ -209,7 +215,7 @@ def polyline_area(points: np.ndarray, hy: float):
     dp = spectral_diff(points, 1)
     cross = points[..., 0] * dp[..., 1] - points[..., 1] * dp[..., 0]
     if cross.ndim == 1:
-        return 0.5 * float(np.sum(cross)) * hy
+        return 0.5 * float(cross.sum()) * hy
     # pairwise summation runs only along a contiguous inner axis, so each
     # member is summed as a contiguous row to keep the bits of its solo run
     return 0.5 * cross.T.copy().sum(axis=1) * hy
@@ -311,42 +317,47 @@ def latitude_circle(polar_angle: float, m: int = 256) -> SphereCurve:
 
 
 def _norm3(v: np.ndarray) -> np.ndarray:
-    """Row norms of an (m, 3) array, bitwise as np.linalg.norm(v, axis=1)."""
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    """Column norms of (3, m) v, bitwise as np.linalg.norm(v.T, axis=1)."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column dot products of (3, m) arrays, bitwise as np.einsum("ij,ij->i")
+    on their C-contiguous transposes, which sums (a0 b0 + a2 b2) + a1 b1."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
 def _sphere_geometry(x: np.ndarray, hy: float):
-    xy, xyy = periodic_diff12(x, hy)
+    """(speed, tau, nu, kappa_g, xy) of (3, m) markers; speed, kappa_g (m,)."""
+    xy, xyy = _periodic_diff12(x, hy, -1)
     speed = _norm3(xy)
-    tau = xy / speed[:, None]
-    (t0, t1, t2), (x0, x1, x2) = tau.T, x.T     # tau x X as np.cross forms it
-    nu = np.column_stack([t1 * x2 - t2 * x1, t2 * x0 - t0 * x2,
-                          t0 * x1 - t1 * x0])
-    speed_y = periodic_diff1(speed, hy)
-    xss = (xyy - speed_y[:, None] * tau) / speed[:, None] ** 2
-    kappa_g = -np.einsum("ij,ij->i", xss, nu)
-    return speed, tau, nu, kappa_g, xy
+    tau = xy / speed
+    nu = np.empty_like(x)                  # tau x X as np.cross forms it
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(tau[j] * x[k], tau[k] * x[j], out=nu[i])
+    xss = (xyy - periodic_diff1(speed, hy) * tau) / speed ** 2
+    return speed, tau, nu, -_dot3(xss, nu), xy
 
 
 def _parallel_transport(w: np.ndarray, x_from: np.ndarray,
                         x_to: np.ndarray) -> np.ndarray:
-    dot = np.einsum("ij,ij->i", x_from, x_to)
-    wdot = np.einsum("ij,ij->i", w, x_to)
-    return w - (wdot / (1.0 + dot))[:, None] * (x_from + x_to)
+    dot = _dot3(x_from, x_to)
+    wdot = _dot3(w, x_to)
+    return w - wdot / (1.0 + dot) * (x_from + x_to)
 
 
 def _sphere_areas(x: np.ndarray, g, hy: float):
     speed, _, _, kappa, xy = g
-    gb = 2.0 * math.pi - float(np.sum(kappa * speed)) * hy
+    gb = 2.0 * math.pi - float((kappa * speed).sum()) * hy
     # d(phi_azimuthal)/dy from cartesian derivatives avoids branch cuts
-    denom = x[:, 0] ** 2 + x[:, 1] ** 2
-    dphi = (x[:, 0] * xy[:, 1] - x[:, 1] * xy[:, 0]) / denom
-    band = float(np.sum((1.0 - x[:, 2]) * dphi)) * hy
+    denom = x[0] ** 2 + x[1] ** 2
+    dphi = (x[0] * xy[1] - x[1] * xy[0]) / denom
+    band = float(((1.0 - x[2]) * dphi).sum()) * hy
     return gb, band
 
 
 def _renorm(x: np.ndarray) -> np.ndarray:
-    return x / _norm3(x)[:, None]
+    return x / _norm3(x)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +371,17 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
               watch=None, aux=()):
     """Integrate dy/dt = rhs(y, g, *aux) with classical fixed-step RK4.
 
-    y is one member's state with markers on axis 0, (m, k), or a batch
-    (m, B, k) of members that share m, dt and the step count; aux holds
-    per-member constants, members on axis 1 in a batch.
+    y is one member's state, (m, k) or the sphere's coordinate-major
+    (3, m), or a batch (m, B, k) of members that share m, dt and the step
+    count; aux holds per-member constants, members on axis 1 in a batch.
     g = geometry(y) starts with (speed, tangent, nu, kappa) and is evaluated
     once per state: a candidate's geometry decides its acceptance, then
-    serves as the next step's first stage.  view(y, *aux) gives a
-    snapshot's (points, phi), phi0 the initial speed, mass(y, g) the
-    series measure.  project maps stages back onto the constraint
-    manifold, reject(k, y) may veto one member's step k and
-    watch(y_prev, g_prev, y, g, ids) sees the accepted steps of the
-    members ids.  A candidate with a non-finite entry ends the run as
+    serves as the next step's first stage.  view(y, g, *aux) gives a
+    snapshot's (points, phi, normals) with markers on axis 0, as are
+    kappa and phi0, the initial speed; mass(y, g) is the series measure.
+    project maps stages back onto the constraint manifold, reject(k, y)
+    may veto one member's step k and watch(y_prev, g_prev, y, g, ids)
+    sees the accepted steps of the members ids.  A candidate with a non-finite entry ends the run as
     "nonfinite", and one whose mass is not finite and positive as
     "measure-loss".
     For a batch, mass answers per member and every check acts per member:
@@ -395,12 +406,12 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     reasons, last = [None] * len(ids), [None] * len(ids)
 
     def snapshot(t, cols, phi=None, alive=True):
-        points, phi_now = view(y, *aux)
+        points, phi_now, normals = view(y, g, *aux)
         phi = phi_now if phi is None else phi
-        for c in cols:
+        for c in cols:       # C-contiguous copies, whatever the views' order
             states[ids[c]].append(FlowState(
                 t, col(points, c).copy(), col(phi, c).copy(),
-                col(g[2], c).copy(), col(g[3], c).copy(), alive=alive))
+                col(normals, c).copy(), col(g[3], c).copy(), alive=alive))
 
     steps = int(round(t_end / dt))
     snapshot(0.0, range(len(ids)), phi=phi0)
@@ -422,7 +433,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
             why = [None] * len(ids)
         else:
             finite = each(np.isfinite(candidate).all(axis=marker_axes))
-            floor = each(np.min(g_next[3], axis=0) <= KAPPA_FLOOR)
+            floor = each(g_next[3].min(axis=0) <= KAPPA_FLOOR)
             why = ["nonfinite" if not ok else "curvature-floor" if low
                    else None for ok, low in zip(finite, floor)]
         if reject is not None:
@@ -462,7 +473,7 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
                                 np.array(masses[member]), FLOW_THETA)
                 if len(masses[member]) > 1 else None),
         alive=reasons[member] is None, death_reason=reasons[member],
-        diagnostics={"m": y.shape[0], "dt": dt}), last[member])
+        diagnostics={"m": len(phi0), "dt": dt}), last[member])
         for member in range(len(states))]
 
 
@@ -506,23 +517,25 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
     """Parallel normal flows of plane bodies sharing m, or of one sphere."""
     on_sphere = isinstance(members[0][0], SphereCurve)
     hy = 2.0 * math.pi / members[0][0].m
-    starts = [(body.points, _phi_samples(np.arange(body.m) * hy, phi))
+    starts = [(body.points.T.copy(), _phi_samples(np.arange(body.m) * hy, phi))
               if on_sphere else (body.points(), _phi_samples(body.angles, phi))
               for body, phi in members]
-    if on_sphere:
+    if on_sphere:            # a (3, m) state, viewed as (m, 3) by snapshots
         geometry = lambda x: _sphere_geometry(x, hy)
         project, reject = _renorm, None
+        view = lambda x, g, phi_vals, _: (x.T, phi_vals, g[2].T)
         first = {"area_estimator_gap": 0.0}
     else:
         geometry = lambda x: _plane_geometry(x, hy)
         project = lambda x: x
         reject = lambda k, x: (intersect_every > 0 and (k + 1)
                                % intersect_every == 0 and self_intersects(x))
+        view = lambda x, g, phi_vals, _: (x, phi_vals, g[2])
         first = {"steps_run": 0}
     y, phi_vals = (starts[0] if len(starts) == 1 else
                    (np.stack(a, axis=1) for a in zip(*starts)))
     g = geometry(y)
-    if np.min(g[3]) <= KAPPA_FLOOR:
+    if g[3].min() <= KAPPA_FLOOR:
         raise ConvexityViolation(f"initial {'sphere ' if on_sphere else ''}"
                                  "curve is not strictly convex")
     diagnostics = [{**first, "max_step_drift": 0.0} for _ in members]
@@ -532,12 +545,12 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
         speed, tau, nu, kappa = g[:4]
         along = phi_y / speed / kappa
         if on_sphere:        # with the tangent projection
-            vel = phi_vals[:, None] * nu + along[:, None] * tau
-            vel -= np.einsum("ij,ij->i", vel, x)[:, None] * x
+            vel = phi_vals * nu + along * tau
+            vel -= _dot3(vel, x) * x
             return vel
         vel = np.empty_like(nu)      # one column at a time, tau = (-nu_y, nu_x)
-        vel[..., 0] = phi_vals * nu[..., 0] - along * nu[..., 1]
-        vel[..., 1] = phi_vals * nu[..., 1] + along * nu[..., 0]
+        np.subtract(phi_vals * nu[..., 0], along * nu[..., 1], out=vel[..., 0])
+        np.add(phi_vals * nu[..., 1], along * nu[..., 0], out=vel[..., 1])
         return vel
 
     def mass(x, g):
@@ -551,11 +564,11 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
             gb, band = areas[0]
             diagnostics[0]["area_estimator_gap"] = max(
                 diagnostics[0]["area_estimator_gap"], abs(gb - band))
-            step = np.max(_norm3(
-                g[2] - _parallel_transport(g_prev[2], x_prev, x)))
+            step = _norm3(
+                g[2] - _parallel_transport(g_prev[2], x_prev, x)).max()
         else:
             moved = g[2] - g_prev[2]
-            step = np.max(np.hypot(moved[..., 0], moved[..., 1]), axis=0)
+            step = np.hypot(moved[..., 0], moved[..., 1]).max(axis=0)
         for member, step_drift in zip(ids, np.atleast_1d(step).tolist()):
             record = diagnostics[member]
             if not on_sphere:
@@ -565,9 +578,9 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
                                            step_drift)
 
     runs = _rk4_flow(
-        y, g, geometry, rhs, lambda x, phi_vals, _: (x, phi_vals), mass,
-        phi_vals, t_end, dt, snapshot_every, project=project, reject=reject,
-        watch=watch, aux=(phi_vals, periodic_diff1(phi_vals, hy)))
+        y, g, geometry, rhs, view, mass, phi_vals, t_end, dt, snapshot_every,
+        project=project, reject=reject, watch=watch,
+        aux=(phi_vals, periodic_diff1(phi_vals, hy)))
     for (result, _), record, member_drift in zip(runs, diagnostics, drift):
         result.normal_drift = member_drift
         result.diagnostics.update(record)
@@ -578,14 +591,23 @@ def _pnf_runs(members, t_end, dt, snapshot_every, intersect_every):
 # Weingarten curvature wave
 
 
+def _wave_geometry(z: np.ndarray, hy: float):
+    """_plane_geometry of the markers z[..., :2] plus (phi, phi_y), where
+    phi = exp(z[..., 2]), from one pad of (x, y, phi)."""
+    phi = np.exp(z[..., 2])   # a contiguous output: exp's loop as before
+    w = z.copy()
+    w[..., 2] = phi
+    d1, d2 = periodic_diff12(w, hy)
+    return (*_plane_frame(d1[..., :2], d2[..., :2]), phi, d1[..., 2])
+
+
 def _wave_rhs(z: np.ndarray, g, hy: float) -> np.ndarray:
-    speed, _, nu, kappa = g
-    phi = np.exp(z[..., 2])
-    flux = periodic_diff1(phi, hy) / speed / kappa
+    speed, _, nu, kappa, phi, phi_y = g
+    flux = phi_y / speed / kappa
     dz = np.empty_like(z)
     np.multiply(phi, nu[..., 0], out=dz[..., 0])
     np.multiply(phi, nu[..., 1], out=dz[..., 1])
-    dz[..., 2] = periodic_diff1(flux, hy) / speed
+    np.divide(periodic_diff1(flux, hy), speed, out=dz[..., 2])
     return dz
 
 
@@ -626,10 +648,10 @@ def weingarten_waves(members, t_end: float, dt: float,
     y, phi_vals = (starts[0] if len(starts) == 1 else
                    (np.stack(a, axis=1) for a in zip(*starts)))
     hy = members[0][0].d_angle
-    geometry = lambda z: _plane_geometry(z[..., :2], hy)
+    geometry = lambda z: _wave_geometry(z, hy)
     runs = _rk4_flow(
         y, geometry(y), geometry, lambda z, g: _wave_rhs(z, g, hy),
-        lambda z: (z[..., :2], np.exp(z[..., 2])),
+        lambda z, g: (z[..., :2], g[4], g[2]),
         lambda z, g: polyline_area(z[..., :2], hy), phi_vals, t_end, dt,
         snapshot_every)
     for result, last in runs:

@@ -64,14 +64,15 @@ def _wrap_index(m: int) -> np.ndarray:
     return np.arange(-2, m + 2) % m
 
 
-def _wrap_pad(y: np.ndarray) -> np.ndarray:
-    """y extended by two periodic samples at each end along axis 0.
+def _wrap_pad(y: np.ndarray, axis: int = 0) -> np.ndarray:
+    """y extended by two periodic samples at each end along axis.
 
-    p[k] = y[(k - 2) mod m], so p[4:], p[3:m+3], p[1:m+1] and p[:m] are
-    np.roll(y, s, 0) for s = -2, -1, 1, 2 (for every m >= 1).  take with
-    a cached index beats y[ix], which is slow on (m, 2) and (m, 3) arrays.
+    p[k] = y[(k - 2) mod m] along it, so p[4:], p[3:m+3], p[1:m+1] and
+    p[:m] are np.roll(y, s, axis) for s = -2, -1, 1, 2 (for every m >= 1).
+    take with a cached index beats y[ix], which is slow on (m, 2) and
+    (m, 3) arrays.
     """
-    return y.take(_wrap_index(y.shape[0]), axis=0)
+    return y.take(_wrap_index(y.shape[axis]), axis=axis)
 
 
 def _diff1(p: np.ndarray, m: int, h: float) -> np.ndarray:
@@ -99,9 +100,16 @@ def periodic_diff2(y: np.ndarray, h: float) -> np.ndarray:
 
 def periodic_diff12(y: np.ndarray, h: float):
     """(periodic_diff1(y, h), periodic_diff2(y, h)) from one pad of y."""
-    y = np.asarray(y, dtype=float)
-    m = y.shape[0]
-    p = _wrap_pad(y)
+    return _periodic_diff12(np.asarray(y, dtype=float), h, 0)
+
+
+def _periodic_diff12(y: np.ndarray, h: float, axis: int):
+    """periodic_diff12 along y's marker axis, 0 or -1 (coordinate-major).
+    Along -1 the stencils run on the pad's transpose: elementwise ops keep
+    their bits in any memory order, and lay their results out as it."""
+    m = y.shape[axis]
+    p = _wrap_pad(y, axis)
+    p = p.T if axis else p
     # (-(p[i+2] + p[i-2]) + 16 (p[i+1] + p[i-1]) - 30 p[i]) / 12h^2, in
     # place; b - a is -a + b to the bit
     d2 = np.add(p[3:m + 3], p[1:m + 1])
@@ -109,7 +117,8 @@ def periodic_diff12(y: np.ndarray, h: float):
     d2 -= np.add(p[4:], p[:m])
     d2 -= 30.0 * p[2:m + 2]
     d2 /= 12.0 * h * h
-    return _diff1(p, m, h), d2
+    d1 = _diff1(p, m, h)
+    return (d1.T, d2.T) if axis else (d1, d2)
 
 
 def fourier_diff_matrix(m: int) -> np.ndarray:

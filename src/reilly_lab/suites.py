@@ -52,7 +52,7 @@ from .inequalities import (boundary_cd_report, check_bln, check_boundary_gaps,
                            check_lichnerowicz, check_mean_curvature,
                            check_veysseire, sharpness_ratio)
 from .models import build_interval_model, build_model_density
-from .operators import (DIRICHLET, PERIODIC, assemble_laplacian,
+from .operators import (DIRICHLET, NEUMANN, PERIODIC, assemble_laplacian,
                         eigenvalues, spectral_gap)
 from .presets import (disk_body, ellipse_body, flat_ball, gaussian_ball,
                       gaussian_half_model, gaussian_model,
@@ -125,9 +125,12 @@ def lichnerowicz(rho: float, theta: InverseDimension, n_pts: int,
     """``check_lichnerowicz`` on R^(N-1), truncated at 8 when hyperbolic,
     at N = inf on the Gaussian of variance 1/rho on +-6 sigma; Dirichlet on
     the half interval [0, b], whose wall is mean-convex for the weight."""
+    case = case.lower()
+    if case not in (NEUMANN, DIRICHLET):
+        raise ValueError(f"unknown case {case!r}")
     if theta.is_infinite_n:
         sigma = 1.0 / math.sqrt(rho)
-        model = (gaussian_half_model if case == "dirichlet"
+        model = (gaussian_half_model if case == DIRICHLET
                  else gaussian_model)(n_pts, sigma, 6.0 * sigma)
     else:
         n = theta.n_value

@@ -409,9 +409,8 @@ def test_flow_stencil_calls_per_step_within_budget(monkeypatch, run, budget):
             return stencil(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(flows, "periodic_diff1", counted(flows.periodic_diff1))
-    monkeypatch.setattr(flows, "periodic_diff12",
-                        counted(flows.periodic_diff12))
+    for name in ("periodic_diff1", "periodic_diff12", "_periodic_diff12"):
+        monkeypatch.setattr(flows, name, counted(getattr(flows, name)))
     per_run = []
     for t_end in (0.1, 0.2):
         calls[0] = 0
@@ -525,8 +524,14 @@ def test_pnf_sphere_measure_loss_reported_not_raised():
 # field and in the trajectory CSV.
 
 
-def _ref_wrap_pad(y):
-    return np.take(y, np.arange(-2, y.shape[0] + 2), axis=0, mode="wrap")
+def _ref_wrap_pad(y, axis=0):
+    return np.take(y, np.arange(-2, y.shape[axis] + 2), axis=axis,
+                   mode="wrap")
+
+
+def _rows(v):
+    """The (m, 3) C-contiguous transpose of a (3, m) sphere array."""
+    return np.ascontiguousarray(v.T)
 
 
 def _ref_plane_geometry(points, hy):
@@ -540,6 +545,8 @@ def _ref_plane_geometry(points, hy):
 
 
 def _ref_sphere_geometry(x, hy):
+    # the (m, 3) forms on the markers' transpose, handed back as (3, m)
+    x = _rows(x)
     xy = flows.periodic_diff1(x, hy)
     xyy = numerics.periodic_diff2(x, hy)
     speed = np.linalg.norm(xy, axis=1)
@@ -548,7 +555,7 @@ def _ref_sphere_geometry(x, hy):
     speed_y = flows.periodic_diff1(speed, hy)
     xss = (xyy - speed_y[:, None] * tau) / speed[:, None] ** 2
     kappa_g = -np.einsum("ij,ij->i", xss, nu)
-    return speed, tau, nu, kappa_g, xy
+    return speed, tau.T, nu.T, kappa_g, xy.T
 
 
 def _ref_polyline_area(points, hy):
@@ -557,10 +564,15 @@ def _ref_polyline_area(points, hy):
     return 0.5 * float(np.sum(points[:, 0] * yp - points[:, 1] * xp)) * hy
 
 
-def _ref_wave_rhs(z, g, hy):
-    speed, _, nu, kappa = g
+def _ref_wave_geometry(z, hy):
     phi = np.exp(z[:, 2])
-    flux = flows.periodic_diff1(phi, hy) / speed / kappa
+    return (*_ref_plane_geometry(z[:, :2], hy), phi,
+            flows.periodic_diff1(phi, hy))
+
+
+def _ref_wave_rhs(z, g, hy):
+    speed, _, nu, kappa, phi, phi_y = g
+    flux = phi_y / speed / kappa
     return np.column_stack([phi[:, None] * nu,
                             flows.periodic_diff1(flux, hy) / speed])
 
@@ -584,8 +596,10 @@ _REFERENCE_KERNELS = {
     (flows, "_plane_geometry"): _ref_plane_geometry,
     (flows, "_sphere_geometry"): _ref_sphere_geometry,
     (flows, "polyline_area"): _ref_polyline_area,
+    (flows, "_wave_geometry"): _ref_wave_geometry,
     (flows, "_wave_rhs"): _ref_wave_rhs,
-    (flows, "_norm3"): lambda v: np.linalg.norm(v, axis=1),
+    (flows, "_norm3"): lambda v: np.linalg.norm(_rows(v), axis=1),
+    (flows, "_dot3"): lambda a, b: np.einsum("ij,ij->i", _rows(a), _rows(b)),
 }
 
 _COS2 = lambda c: TrigPolynomial((1.0, 0.0, c))  # noqa: E731
@@ -653,7 +667,7 @@ def test_first_state_owns_its_arrays(monkeypatch, name):
     # the initial geometry feeds the first RK4 stage; the stored initial
     # normals and curvature must not alias it
     seen = []
-    for attr in ("_plane_geometry", "_sphere_geometry"):
+    for attr in ("_plane_geometry", "_sphere_geometry", "_wave_geometry"):
         def recorded(*args, _kernel=getattr(flows, attr)):
             g = _kernel(*args)
             seen.append(g)
@@ -663,6 +677,44 @@ def test_first_state_owns_its_arrays(monkeypatch, name):
     first, g0 = res.states[0], seen[0]
     for stored in (first.points, first.phi, first.normals, first.kappa):
         assert not any(np.shares_memory(stored, a) for a in g0)
+
+
+def test_sphere_dot_products_sum_in_einsum_order():
+    # einsum sums a row's three products as (a0 b0 + a2 b2) + a1 b1; the
+    # left-to-right order differs from it on about 15% of these rows
+    rng = np.random.default_rng(37)
+    a, b = (rng.standard_normal((4096, 3))
+            * 10.0 ** rng.integers(-8, 9, (4096, 3)) for _ in range(2))
+    want = np.einsum("ij,ij->i", a, b)
+    got = flows._dot3(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    assert got.tobytes() == want.tobytes()
+    ordered = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+    assert ordered.tobytes() != want.tobytes()
+
+
+def test_flow_diagnostics_count_the_markers():
+    runs = [
+        [parallel_normal_flow(disk_body(m=64), 1.0, 0.01, 2e-3)],
+        flows.parallel_normal_flows([(disk_body(m=64), 1.0),
+                                     (disk_body(m=64), 0.5)], 0.01, 2e-3),
+        flows.weingarten_waves([(disk_body(m=64), 1.0),
+                                (ellipse_body(m=64), 1.0)], 0.001, 2e-4),
+        [parallel_normal_flow(latitude_circle(1.0, 64), 1.0, 0.01, 2e-3)],
+    ]
+    for results in runs:
+        for res in results:
+            assert res.diagnostics["m"] == 64
+            assert res.states[-1].points.shape[0] == 64
+
+
+@pytest.mark.parametrize("name", ["cap", "cap-measure-loss"])
+def test_sphere_states_hold_their_own_marker_major_arrays(name):
+    res = _PINNED_RUNS[name][0]()
+    for state in res.states:
+        for array, shape in ((state.points, (64, 3)), (state.normals, (64, 3)),
+                             (state.phi, (64,)), (state.kappa, (64,))):
+            assert array.shape == shape
+            assert array.flags.c_contiguous and array.flags.owndata
 
 
 # ---------------------------------------------------------------------------
@@ -743,23 +795,24 @@ _PAD_RUNS = {
     "sphere": (lambda t: parallel_normal_flow(latitude_circle(1.0, 64),
                                               _COS2(0.1), t, 2e-3), 8),
     "wave": (lambda t: weingarten_wave(disk_body(m=64), _COS2(0.2),
-                                       t / 10.0, 2e-4), 12),
+                                       t / 10.0, 2e-4), 8),
 }
 
 
 @pytest.mark.parametrize("name", list(_PAD_RUNS))
 def test_flow_pads_per_step_within_budget(monkeypatch, name):
     # a state's geometry pads its markers once for both derivatives: the
-    # plane PNF pads once per state, the sphere PNF also pads the speed
-    # and the wave's right-hand side pads twice per stage; the extra 50
-    # steps of the longer run isolate the per-step cost from the setup
+    # plane PNF pads once per state, the sphere PNF also pads the speed,
+    # the wave's geometry pads (x, y, phi) at once and its right-hand side
+    # pads the flux; the extra 50 steps of the longer run isolate the
+    # per-step cost from the setup
     run, budget = _PAD_RUNS[name]
     pads = [0]
     real_pad = numerics._wrap_pad
 
-    def counted(y):
+    def counted(y, *axis):
         pads[0] += 1
-        return real_pad(y)
+        return real_pad(y, *axis)
 
     monkeypatch.setattr(numerics, "_wrap_pad", counted)
     per_run = []

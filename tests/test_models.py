@@ -173,11 +173,21 @@ def test_revolution_profiles_must_be_finite(bad):
         arrays[name][10] = bad
         with pytest.raises(ValueError, match=f"profile {name} must be finite"):
             RevolutionBody3D(**arrays)
-    # the spheroid's spline refuses a non-finite semi-axis before any body
-    # is built (an infinite one makes NaNs on the way)
-    with pytest.raises(ValueError, match="infs or NaNs"), \
-            np.errstate(invalid="ignore"):
-        build_spheroid_body(bad, 1.2)
+    # the spheroid builder refuses a non-finite semi-axis up front, before
+    # any spline work and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, name in (((bad, 1.2), "a"), ((1.0, bad), "c")):
+            with pytest.raises(ValueError, match=f"semi-axis {name} must be "
+                               "finite and positive"):
+                build_spheroid_body(*args)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_spheroid_semi_axes_must_be_positive(bad):
+    for args, name in (((bad, 1.2), "a"), ((1.0, bad), "c")):
+        with pytest.raises(ValueError, match=f"semi-axis {name} must be"):
+            build_spheroid_body(*args)
 
 
 def test_sphere_cap_invariants():

@@ -204,10 +204,24 @@ def test_fused_periodic_stencil_matches_both_stencils_with_one_pad(
     pads = []
     real_pad = numerics._wrap_pad
     monkeypatch.setattr(numerics, "_wrap_pad",
-                        lambda a: pads.append(a) or real_pad(a))
+                        lambda a, *axis: pads.append(a) or real_pad(a, *axis))
     d1, d2 = numerics.periodic_diff12(y, h)
     assert len(pads) == 1
     assert np.array_equal(d1, want[0]) and np.array_equal(d2, want[1])
+
+
+@pytest.mark.parametrize("m", [1, 5, 128, 512])
+@pytest.mark.parametrize("k", [1, 3])
+def test_last_axis_stencils_are_the_transposed_bits(m, k):
+    # the sphere's coordinate-major (k, m) markers differentiate along the
+    # last axis into C-contiguous (k, m) arrays with the bits of the
+    # marker-major stencils
+    y = np.random.default_rng(m + k).standard_normal((k, m))
+    h = 2.0 * np.pi / m
+    want = numerics.periodic_diff12(np.ascontiguousarray(y.T), h)
+    for got, ref in zip(numerics._periodic_diff12(y, h, -1), want):
+        assert got.shape == (k, m) and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(ref.T).tobytes()
 
 
 def test_spectral_symbol_is_cached_read_only():

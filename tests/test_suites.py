@@ -13,6 +13,7 @@ import pytest
 from reilly_lab import cli, suites
 from reilly_lab.checks import from_identity
 from reilly_lab.config import SWEEP_CHECKS, load_config, validate_sweep
+from reilly_lab.dimension import InverseDimension
 from reilly_lab.errors import ConvexityViolation, ReillyLabError
 from reilly_lab.reporting import check_to_json, emit_report
 from reilly_lab.suites import SUITE_NAMES, run_suite_checks, suite_thunks
@@ -343,3 +344,24 @@ def test_swept_catalogue_rows_are_partials_of_the_sweep_builders():
         # the grid is data: a refined copy runs and records its grid
         n = call.keywords["n_pts"]
         assert partial(call, n_pts=2 * n - 1)().params["n"] == 2 * n - 1
+
+
+@pytest.mark.parametrize("n", ["inf", "5"])
+def test_lichnerowicz_reads_its_case_in_any_spelling(n):
+    # at N = inf the case picks the model (the half interval for Dirichlet)
+    theta = InverseDimension.from_n(float(n))
+    want = check_to_json(suites.lichnerowicz(1.0, theta, 401, "dirichlet"))
+    got = check_to_json(suites.lichnerowicz(1.0, theta, 401, "Dirichlet"))
+    assert got == want and '"pass":true' in want
+
+
+def test_lichnerowicz_refuses_an_unknown_case_before_any_model(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    for name in ("gaussian_model", "gaussian_half_model",
+                 "build_model_density"):
+        monkeypatch.setattr(suites, name, no_model)
+    for n in (0.0, 0.25):
+        with pytest.raises(ValueError, match="unknown case 'bogus'"):
+            suites.lichnerowicz(1.0, InverseDimension(n), 401, "Bogus")
