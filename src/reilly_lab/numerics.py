@@ -105,8 +105,8 @@ def periodic_diff12(y: np.ndarray, h: float):
 
 def _periodic_diff12(y: np.ndarray, h: float, axis: int):
     """periodic_diff12 along y's marker axis, 0 or -1 (coordinate-major).
-    Along -1 the stencils run on the pad's transpose: elementwise ops keep
-    their bits in any memory order, and lay their results out as it."""
+    Along -1 the stencils run on the pad's transpose, whose layout their
+    results keep; elementwise ops give the same bits in any memory order."""
     m = y.shape[axis]
     p = _wrap_pad(y, axis)
     p = p.T if axis else p

@@ -681,7 +681,7 @@ def test_first_state_owns_its_arrays(monkeypatch, name):
 
 def test_sphere_dot_products_sum_in_einsum_order():
     # einsum sums a row's three products as (a0 b0 + a2 b2) + a1 b1; the
-    # left-to-right order differs from it on about 15% of these rows
+    # left-to-right order differs from it on 540 of these 4,096 rows
     rng = np.random.default_rng(37)
     a, b = (rng.standard_normal((4096, 3))
             * 10.0 ** rng.integers(-8, 9, (4096, 3)) for _ in range(2))
