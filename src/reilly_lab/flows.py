@@ -381,9 +381,9 @@ def _rk4_flow(y, g, geometry, rhs, view, mass, phi0, t_end, dt,
     kappa and phi0, the initial speed; mass(y, g) is the series measure.
     project maps stages back onto the constraint manifold, reject(k, y)
     may veto one member's step k and watch(y_prev, g_prev, y, g, ids)
-    sees the accepted steps of the members ids.  A candidate with a non-finite entry ends the run as
-    "nonfinite", and one whose mass is not finite and positive as
-    "measure-loss".
+    sees the accepted steps of the members ids.  A candidate with a
+    non-finite entry ends the run as "nonfinite", and one whose mass is
+    not finite and positive as "measure-loss".
     For a batch, mass answers per member and every check acts per member:
     a member that breaks down gets its death snapshot at its last accepted
     time and leaves the batch by column selection, with its aux, so the
